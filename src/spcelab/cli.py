@@ -2,25 +2,31 @@
 
 Subcommands: ``spce``, ``coins``, ``purity``, ``bertrand``, ``qkd``, plus
 ``replay`` to re-execute a recorded run.  Every run is driven by a single
-JSON config document and a master seed, writes its outputs atomically, and
-drops a ``manifest.json`` from which the run can be replayed byte-for-byte
-(only the manifest's own timestamp differs between replays).
+JSON config document and a master seed, and every run goes through one
+driver: the command's plan checks its config, samples, and writes its files
+into a staging directory inside the output directory; the driver adds a
+``manifest.json`` and moves every file into place, manifest last.  A run
+that fails leaves the output directory as it was.  The manifest replays the
+run byte-for-byte (only its own timestamp differs between replays).
 
 Exit codes: 0 success (purity: verdict pure), 1 purity mixed, 2 purity
-inconclusive, 3 invalid config, 4 malformed input data, 5 I/O failure.
+inconclusive, 3 invalid config or usage, 4 malformed input data, 5 I/O
+failure, 6 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
-import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,25 +46,35 @@ EXIT_INCONCLUSIVE = 2
 EXIT_CONFIG = 3
 EXIT_INPUT = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 #: Runs below this many trials are flagged as statistically weak in reports.
 LOW_N = 100
+
+FORMATS = ("csv", "json")
+
+_REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _load_config(path) -> dict:
+def _reject_constant(token):
+    raise ConfigError(f"{token} is not valid JSON")
+
+
+def _load_object(path, what) -> dict:
+    """Read a strict-JSON object (a config or a manifest) from ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{what} {path} must be a JSON object")
     return doc
 
 
@@ -67,10 +83,21 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def _get_int(cfg, key, minimum=None, default=None):
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _get_int(cfg, key, minimum=None, default=_REQUIRED):
+    """An integer field; with ``default=None`` a missing or null field reads as None."""
     value = cfg.get(key, default)
-    _require(value is not None, f"config is missing required field '{key}'")
-    _require(isinstance(value, int) and not isinstance(value, bool), f"'{key}' must be an integer")
+    _require(value is not _REQUIRED, f"config is missing required field '{key}'")
+    if value is None and default is None:
+        return None
+    _require(_is_int(value), f"'{key}' must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"'{key}' must be >= {minimum}, got {value}")
     return value
@@ -79,7 +106,7 @@ def _get_int(cfg, key, minimum=None, default=None):
 def _get_number(cfg, key, lo=None, hi=None, default=None):
     value = cfg.get(key, default)
     _require(value is not None, f"config is missing required field '{key}'")
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"'{key}' must be a number")
+    _require(_is_number(value), f"'{key}' must be a number")
     if lo is not None:
         _require(value >= lo, f"'{key}' must be >= {lo}, got {value}")
     if hi is not None:
@@ -87,9 +114,22 @@ def _get_number(cfg, key, lo=None, hi=None, default=None):
     return float(value)
 
 
+def _get_bool(cfg, key, default):
+    value = cfg.get(key, default)
+    _require(isinstance(value, bool), f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _parse_urn(value) -> coin_lab.UrnState:
+    _require(isinstance(value, list) and len(value) == 2
+             and all(_is_int(v) and v >= 0 for v in value),
+             f"'urn' must be a [n_blue, n_red] pair of non-negative integers, got {value!r}")
+    return coin_lab.UrnState(*value)
+
+
 def _parse_axis(value, name) -> Direction:
     """An axis is either a plane angle in degrees or an explicit 3-vector."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return Direction.from_plane_angle(float(value))
     if isinstance(value, (list, tuple)) and len(value) == 3:
         try:
@@ -100,69 +140,36 @@ def _parse_axis(value, name) -> Direction:
 
 
 def _parse_epsilon(value, name):
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"'{name}' must be a number",
-    )
+    _require(_is_number(value), f"'{name}' must be a number")
     _require(0.0 <= value <= 2.0, f"'{name}' must lie in [0, 2], got {value}")
     return float(value)
 
 
-def _resolve_seed(cfg, args):
-    if args.seed is not None:
-        _require(0 <= args.seed < 2**64, f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-        return args.seed
-    seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    _require(0 <= seed < 2**64, f"'seed' must be an unsigned 64-bit integer, got {seed}")
+def _resolve_seed(cfg, override):
+    seed = _get_int(cfg, "seed", default=0) if override is None else override
+    _require(0 <= seed < 2**64, f"the master seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
-def _out_dir(args) -> Path:
-    if args.out is not None:
-        root = Path(args.out)
-    else:
-        root = Path(os.environ.get(ENV_OUT_ROOT, "spcelab-out"))
-    root.mkdir(parents=True, exist_ok=True)
-    return root
-
-
 # ---------------------------------------------------------------------------
-# atomic output writing and the run manifest
+# output writers (each streams into one file of the staging directory)
 
-def _write_text(path: Path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_json(path: Path, obj):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _table_file(out: Path, basename: str, header, rows, fmt: str) -> str:
     """Write a tabular output as CSV or JSON records; returns the file name."""
+    name = f"{basename}.{fmt}"
     if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        name = f"{basename}.json"
-        _write_text(out / name, _json_text(records))
+        _write_json(out / name, [dict(zip(header, row)) for row in rows])
     else:
-        name = f"{basename}.csv"
-        _write_text(out / name, _csv_text(header, rows))
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     return name
 
 
@@ -171,56 +178,35 @@ def _config_hash(cfg) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed, outputs, fmt: str):
-    manifest = {
-        "artifact_version": __version__,
-        "command": command,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "master_seed": seed,
-        "format": fmt,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-    }
-    _write_text(out / "manifest.json", _json_text(manifest))
-
-
 # ---------------------------------------------------------------------------
-# spce
+# plans: each takes (cfg, seed, stage, fmt), checks its whole config before
+# it samples, writes its files into ``stage`` and returns
+# (output names, exit code, one-line summary)
 
-def _spce_plan(cfg):
+_AXIS_LABELS = {"A": "A", "A_prime": "A'", "B": "B", "B_prime": "B'"}
+
+
+def cmd_spce(cfg, seed, stage: Path, fmt):
     axes_cfg = cfg.get("axes")
     _require(isinstance(axes_cfg, dict), "spce config needs an 'axes' object")
     _require("A" in axes_cfg and "B" in axes_cfg, "'axes' must define at least 'A' and 'B'")
-    labels = {"A": "A", "A_prime": "A'", "B": "B", "B_prime": "B'"}
     axes = {}
     for key, value in axes_cfg.items():
-        _require(key in labels, f"unknown axis '{key}' (expected A, A_prime, B, B_prime)")
-        axes[labels[key]] = _parse_axis(value, key)
+        _require(key in _AXIS_LABELS, f"unknown axis '{key}' (expected A, A_prime, B, B_prime)")
+        axes[_AXIS_LABELS[key]] = _parse_axis(value, key)
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, dict):
-        epsilons = {labels[k]: _parse_epsilon(v, f"epsilon.{k}") for k, v in eps_cfg.items() if k in labels}
+        epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}")
+                    for k, v in eps_cfg.items() if k in _AXIS_LABELS}
         for label in axes:
             _require(label in epsilons, f"epsilon missing for axis '{label}'")
     else:
         eps = _parse_epsilon(eps_cfg, "epsilon")
         epsilons = {label: eps for label in axes}
     n = _get_int(cfg, "n", minimum=1)
+    record_limit = _get_int(cfg, "record_limit", minimum=0, default=None)
     pairs = [(x, y) for x, y in [("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'")]
              if x in axes and y in axes]
-    return axes, epsilons, n, pairs
-
-
-def cmd_spce(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    axes, epsilons, n, pairs = _spce_plan(cfg)
-    out = _out_dir(args)
-
-    record_limit = cfg.get("record_limit")
-    if record_limit is not None:
-        _require(isinstance(record_limit, int) and record_limit >= 0,
-                 "'record_limit' must be a non-negative integer")
 
     runs = []
     rows = []
@@ -236,69 +222,31 @@ def cmd_spce(args) -> int:
         rows.append([x + y, r, spce.correlator_stderr(r, n), n])
         runs.append(run)
 
-    spce.write_run_jsonl(runs, out / "runs.jsonl", record_limit=record_limit)
-    table = _table_file(out, "correlators", ["setting_pair", "r", "stderr", "n"], rows, args.format)
+    spce.write_run_jsonl(runs, stage / "runs.jsonl", record_limit=record_limit)
+    table = _table_file(stage, "correlators", ["setting_pair", "r", "stderr", "n"], rows, fmt)
 
     if len(pairs) == 4:
         s_value = spce.chsh(*(correlators[x + y] for x, y in pairs))
         stderr_s = math.sqrt(sum(spce.correlator_stderr(correlators[x + y], n) ** 2 for x, y in pairs))
     else:
         s_value, stderr_s = None, None
-    report = {
+    _write_json(stage / "chsh.json", {
         "S": s_value,
         "stderr_S": stderr_s,
         "pairs": correlators,
         "n_per_pair": n,
         "low_n": n < LOW_N,
         "note": None if len(pairs) == 4 else "CHSH needs all four axes (A, A_prime, B, B_prime)",
-    }
-    _write_text(out / "chsh.json", _json_text(report))
+    })
+    return ["runs.jsonl", table, "chsh.json"], EXIT_OK, f"{len(pairs)} setting pair(s), n={n}"
 
-    outputs = ["runs.jsonl", table, "chsh.json"]
-    _write_manifest(out, "spce", cfg, seed, outputs, args.format)
-    print(f"spce: {len(pairs)} setting pair(s), n={n} -> {out}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# coins
 
 _SUMMARY_HEADER = ["experiment", "runs", "n", "mean_count_b", "var_count_b",
                    "mean_fraction_b", "z", "p"]
-
-
-def _coins_series(experiment, cfg, seed, stream_id, urn):
-    """One run of the configured experiment on substream (seed, stream_id)."""
-    rng = substream(seed, stream_id)
-    n = _get_int(cfg, "n", minimum=1)
-    if experiment in ("E1", "E2", "E3"):
-        kind = {"E1": coin_lab.DeviceKind.D1_FLIP,
-                "E2": coin_lab.DeviceKind.D2_ALTERNATING,
-                "E3": coin_lab.DeviceKind.D3_BERNOULLI}[experiment]
-        face = cfg.get("initial_face", "B")
-        _require(face in ("B", "R"), f"'initial_face' must be 'B' or 'R', got {face!r}")
-        return coin_lab.run_device(kind, coin_lab.CoinFace[face], n, rng)
-    if experiment == "E4":
-        series, _ = coin_lab.draw_urn(urn, n, bool(cfg.get("with_replacement", False)), rng)
-        return series
-    box = coin_lab.BoxKind.MIXED_E5 if experiment == "E5" else coin_lab.BoxKind.PURE_E6
-    return coin_lab.run_box_experiment(box, urn, n, rng)
-
-
-def _coins_urn(cfg, seed):
-    urn_cfg = cfg.get("urn")
-    if urn_cfg is None:
-        return None
-    _require(isinstance(urn_cfg, list) and len(urn_cfg) == 2
-             and all(isinstance(v, int) and v >= 0 for v in urn_cfg),
-             "'urn' must be a [n_blue, n_red] pair of non-negative integers")
-    urn = coin_lab.UrnState(urn_cfg[0], urn_cfg[1])
-    remove = cfg.get("remove", 0)
-    _require(isinstance(remove, int) and remove >= 0, "'remove' must be a non-negative integer")
-    if remove:
-        _require(remove <= urn.total, f"cannot remove {remove} coins from {urn.total}")
-        urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
-    return urn
+_DEVICES = {"E1": coin_lab.DeviceKind.D1_FLIP,
+            "E2": coin_lab.DeviceKind.D2_ALTERNATING,
+            "E3": coin_lab.DeviceKind.D3_BERNOULLI}
+_BOXES = {"E5": coin_lab.BoxKind.MIXED_E5, "E6": coin_lab.BoxKind.PURE_E6}
 
 
 def _summarize(experiment, counts, runs, n):
@@ -308,19 +256,30 @@ def _summarize(experiment, counts, runs, n):
             float(counts.mean() / n), None, None]
 
 
-def cmd_coins(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
+def cmd_coins(cfg, seed, stage: Path, fmt):
     experiment = cfg.get("experiment")
     _require(experiment in ("E1", "E2", "E3", "E4", "E5", "E6", "E5E6"),
              f"'experiment' must be one of E1..E6 or E5E6, got {experiment!r}")
     runs = _get_int(cfg, "runs", minimum=1, default=1)
     n = _get_int(cfg, "n", minimum=1)
     series_limit = _get_int(cfg, "series_limit", minimum=0, default=10)
-    urn = _coins_urn(cfg, seed)
-    if experiment in ("E4", "E5", "E6", "E5E6"):
+    face = cfg.get("initial_face", "B")
+    _require(face in ("B", "R"), f"'initial_face' must be 'B' or 'R', got {face!r}")
+    with_replacement = _get_bool(cfg, "with_replacement", False)
+    urn = None if cfg.get("urn") is None else _parse_urn(cfg["urn"])
+    if experiment not in _DEVICES:
         _require(urn is not None, f"experiment {experiment} requires an 'urn'")
-    out = _out_dir(args)
+    remove = _get_int(cfg, "remove", minimum=0, default=0)
+    if remove and urn is not None:
+        _require(remove <= urn.total, f"cannot remove {remove} coins from {urn.total}")
+        urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
+
+    def one_series(exp, rng):
+        if exp in _DEVICES:
+            return coin_lab.run_device(_DEVICES[exp], coin_lab.CoinFace[face], n, rng)
+        if exp == "E4":
+            return coin_lab.draw_urn(urn, n, with_replacement, rng)[0]
+        return coin_lab.run_box_experiment(_BOXES[exp], urn, n, rng)
 
     experiments = ["E5", "E6"] if experiment == "E5E6" else [experiment]
     outputs = []
@@ -331,12 +290,12 @@ def cmd_coins(args) -> int:
         counts = np.empty(runs, dtype=np.int64)
         for r in range(runs):
             # stream 0 is reserved for the removal perturbation
-            series = _coins_series(exp, cfg, seed, 1 + exp_index * runs + r, urn)
+            series = one_series(exp, substream(seed, 1 + exp_index * runs + r))
             counts[r] = int(np.sum(series.values == 1))
             if r < series_limit:
                 serialized.append(series)
         name = "series.jsonl" if len(experiments) == 1 else f"series_{exp.lower()}.jsonl"
-        coin_lab.write_timeseries_jsonl(serialized, out / name)
+        coin_lab.write_timeseries_jsonl(serialized, stage / name)
         outputs.append(name)
         rows.append(_summarize(exp, counts, runs, n))
         pooled[exp] = counts
@@ -350,45 +309,35 @@ def cmd_coins(args) -> int:
         rows.append(["E5_vs_E6", runs, n, None, None, None, z,
                      float(math.erfc(abs(z) / math.sqrt(2)))])
 
-    table = _table_file(out, "summary", _SUMMARY_HEADER, rows, args.format)
-    outputs.append(table)
-    _write_manifest(out, "coins", cfg, seed, outputs, args.format)
-    print(f"coins: {experiment}, {runs} run(s) of n={n} -> {out}")
-    return EXIT_OK
+    outputs.append(_table_file(stage, "summary", _SUMMARY_HEADER, rows, fmt))
+    return outputs, EXIT_OK, f"{experiment}, {runs} run(s) of n={n}"
 
 
-# ---------------------------------------------------------------------------
-# purity
-
-def _purity_samples(cfg, seed, config_dir):
+def _purity_samples(cfg, seed):
     if ("inputs" in cfg) == ("generate" in cfg):
         raise ConfigError("purity config needs exactly one of 'inputs' or 'generate'")
     samples = []
     if "inputs" in cfg:
         paths = cfg["inputs"]
-        _require(isinstance(paths, list) and paths, "'inputs' must be a non-empty list of paths")
+        _require(isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths),
+                 "'inputs' must be a non-empty list of paths")
         for path in paths:
-            resolved = Path(path)
-            if not resolved.is_absolute():
-                resolved = config_dir / resolved
-            for i, series in enumerate(coin_lab.read_timeseries_jsonl(resolved)):
+            for i, series in enumerate(coin_lab.read_timeseries_jsonl(path)):
                 samples.append(purity.Sample(series, f"{Path(path).stem}[{i}]"))
     else:
         gen = cfg["generate"]
         _require(isinstance(gen, dict) and isinstance(gen.get("experiments"), list),
                  "'generate' must hold an 'experiments' list")
-        stream_id = 1
+        entries = []
         for entry in gen["experiments"]:
             _require(isinstance(entry, dict), "each generate entry must be an object")
             box_name = entry.get("box")
-            _require(box_name in ("E5", "E6"), f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
-            urn_cfg = entry.get("urn")
-            _require(isinstance(urn_cfg, list) and len(urn_cfg) == 2,
-                     "generate entry needs 'urn': [n_blue, n_red]")
-            urn = coin_lab.UrnState(int(urn_cfg[0]), int(urn_cfg[1]))
-            n = _get_int(entry, "n", minimum=1)
-            count = _get_int(entry, "count", minimum=1, default=1)
-            box = coin_lab.BoxKind.MIXED_E5 if box_name == "E5" else coin_lab.BoxKind.PURE_E6
+            _require(box_name in _BOXES, f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
+            entries.append((_BOXES[box_name], _parse_urn(entry.get("urn")),
+                         _get_int(entry, "n", minimum=1),
+                         _get_int(entry, "count", minimum=1, default=1)))
+        stream_id = 1
+        for box, urn, n, count in entries:
             for _ in range(count):
                 series = coin_lab.run_box_experiment(box, urn, n, substream(seed, stream_id))
                 samples.append(purity.Sample(series, f"S{stream_id - 1}"))
@@ -398,70 +347,56 @@ def _purity_samples(cfg, seed, config_dir):
 
 
 def _purity_procedures(cfg):
+    entries = cfg.get("procedures", [])
+    _require(isinstance(entries, list), "'procedures' must be a list")
     procedures = []
-    for entry in cfg.get("procedures", []):
+    for entry in entries:
         _require(isinstance(entry, dict) and "kind" in entry, "each procedure needs a 'kind'")
+        param = entry.get("param", 1.0)
+        _require(_is_number(param), f"procedure 'param' must be a number, got {param!r}")
         try:
-            procedures.append(purity.Reduction(entry["kind"], entry.get("param", 1.0)))
+            procedures.append(purity.Reduction(entry["kind"], param))
         except DomainError as exc:
             raise ConfigError(f"bad procedure {entry}: {exc}") from exc
     return procedures
 
 
-def cmd_purity(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    alpha = args.alpha if args.alpha is not None else _get_number(cfg, "alpha", lo=0.0, hi=1.0, default=0.05)
-    _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
-    samples = _purity_samples(cfg, seed, Path(args.config).resolve().parent)
+_VERDICT_EXIT = {"pure": EXIT_OK, "mixed": EXIT_MIXED, "inconclusive": EXIT_INCONCLUSIVE}
+
+
+def cmd_purity(cfg, seed, stage: Path, fmt):
+    cfg.setdefault("alpha", 0.05)  # the manifest records the alpha in effect
+    alpha = _get_number(cfg, "alpha")
+    _require(0.0 < alpha < 1.0, f"'alpha' must lie in (0, 1), got {alpha}")
     procedures = _purity_procedures(cfg)
-    verdict = purity.purity_verdict(
-        samples,
-        procedures,
-        _get_int(cfg, "subensemble_count", minimum=0, default=0),
-        alpha,
-        master_seed=seed,
-        subensemble_fraction=_get_number(cfg, "subensemble_fraction", lo=0.0, hi=1.0, default=0.5),
-        power_floor=_get_int(cfg, "power_floor", minimum=0, default=purity.DEFAULT_POWER_FLOOR),
-    )
-    out = _out_dir(args)
-    _write_text(out / "verdict.json", _json_text(verdict.to_dict()))
-    # record the effective alpha so a --alpha override survives replay
-    _write_manifest(out, "purity", {**cfg, "alpha": alpha}, seed, ["verdict.json"], args.format)
-    print(f"purity: verdict {verdict.verdict.value} -> {out}")
-    return {"pure": EXIT_OK, "mixed": EXIT_MIXED, "inconclusive": EXIT_INCONCLUSIVE}[verdict.verdict.value]
+    subensemble_count = _get_int(cfg, "subensemble_count", minimum=0, default=0)
+    fraction = _get_number(cfg, "subensemble_fraction", lo=0.0, hi=1.0, default=0.5)
+    power_floor = _get_int(cfg, "power_floor", minimum=0, default=purity.DEFAULT_POWER_FLOOR)
+    samples = _purity_samples(cfg, seed)
+    verdict = purity.purity_verdict(samples, procedures, subensemble_count, alpha, master_seed=seed,
+                                    subensemble_fraction=fraction, power_floor=power_floor)
+    _write_json(stage / "verdict.json", verdict.to_dict())
+    value = verdict.verdict.value
+    return ["verdict.json"], _VERDICT_EXIT[value], f"verdict {value}"
 
 
-# ---------------------------------------------------------------------------
-# bertrand
-
-def cmd_bertrand(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
+def cmd_bertrand(cfg, seed, stage: Path, fmt):
     machines = cfg.get("machines", ["M1", "M2", "M3"])
     _require(isinstance(machines, list) and machines, "'machines' must be a non-empty list")
     for name in machines:
         _require(name in ("M1", "M2", "M3"), f"unknown machine {name!r}")
     n = _get_int(cfg, "n", minimum=1)
-    out = _out_dir(args)
 
     rows = []
     for name in machines:
         est = bertrand_mod.estimate_probability(bertrand_mod.Machine(name), n, seed)
         rows.append([name, est.n, est.p_hat, est.stderr, seed, est.n < LOW_N])
-    table = _table_file(out, "bertrand", ["machine", "n", "p_hat", "stderr", "seed", "low_n"],
-                        rows, args.format)
-    _write_manifest(out, "bertrand", cfg, seed, [table], args.format)
-    print(f"bertrand: {len(machines)} machine(s), n={n} -> {out}")
-    return EXIT_OK
+    table = _table_file(stage, "bertrand", ["machine", "n", "p_hat", "stderr", "seed", "low_n"],
+                        rows, fmt)
+    return [table], EXIT_OK, f"{len(machines)} machine(s), n={n}"
 
 
-# ---------------------------------------------------------------------------
-# qkd
-
-def cmd_qkd(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
+def cmd_qkd(cfg, seed, stage: Path, fmt):
     axis = _parse_axis(cfg.get("axis", 0.0), "axis")
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, list):
@@ -470,7 +405,16 @@ def cmd_qkd(args) -> int:
     else:
         eps_a = eps_b = _parse_epsilon(eps_cfg, "epsilon")
     n = _get_int(cfg, "n", minimum=1)
-    out = _out_dir(args)
+    test_cfg = cfg.get("test")
+    if test_cfg is not None:
+        _require(isinstance(test_cfg, dict), "'test' must be an object")
+        axes_cfg = test_cfg.get("axes", {})
+        required = ("A", "A_prime", "B", "B_prime")
+        _require(isinstance(axes_cfg, dict) and all(k in axes_cfg for k in required),
+                 "'test.axes' must define A, A_prime, B, B_prime")
+        test_axes = [_parse_axis(axes_cfg[k], f"test.axes.{k}") for k in required]
+        n_test = _get_int(test_cfg, "n", minimum=1)
+        adversary = _get_bool(test_cfg, "adversary", False)
 
     keys = qkd.generate_keys(axis, n, eps_a, eps_b, seed, stream_id=0)
     report = {
@@ -481,108 +425,137 @@ def cmd_qkd(args) -> int:
         "low_n": n < LOW_N,
         "chsh": None,
     }
-    test_cfg = cfg.get("test")
     if test_cfg is not None:
-        _require(isinstance(test_cfg, dict), "'test' must be an object")
-        axes_cfg = test_cfg.get("axes", {})
-        required = ("A", "A_prime", "B", "B_prime")
-        _require(all(k in axes_cfg for k in required),
-                 "'test.axes' must define A, A_prime, B, B_prime")
-        test_axes = [_parse_axis(axes_cfg[k], f"test.axes.{k}") for k in required]
-        n_test = _get_int(test_cfg, "n", minimum=1)
-        adversary = bool(test_cfg.get("adversary", False))
         s_value = qkd.ekert_test_statistic(*test_axes, n_test, eps_a, eps_b, seed,
                                            adversary=adversary, stream_base=1)
         report["chsh"] = {"S": s_value, "n_test": n_test, "adversary": adversary,
                           "low_n": n_test < LOW_N}
 
-    _write_text(out / "keys.json", qkd.keys_to_json(keys) + "\n")
-    _write_text(out / "report.json", _json_text(report))
-    _write_manifest(out, "qkd", cfg, seed, ["keys.json", "report.json"], args.format)
-    print(f"qkd: n={n}, mismatch={report['mismatch']:.6f} -> {out}")
-    return EXIT_OK
+    with open(stage / "keys.json", "w", encoding="utf-8", newline="") as fh:
+        fh.write(qkd.keys_to_json(keys) + "\n")
+    _write_json(stage / "report.json", report)
+    return ["keys.json", "report.json"], EXIT_OK, f"n={n}, mismatch={report['mismatch']:.6f}"
 
 
-# ---------------------------------------------------------------------------
-# replay
-
-_COMMANDS = {}
-
-
-def cmd_replay(args) -> int:
-    manifest_path = Path(args.manifest)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    for key in ("command", "config", "master_seed"):
-        _require(key in manifest, f"manifest is missing '{key}'")
-    command = manifest["command"]
-    _require(command in _COMMANDS, f"manifest names unknown command {command!r}")
-
-    out = Path(args.out) if args.out is not None else manifest_path.parent
-    out.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False, encoding="utf-8") as fh:
-        json.dump(manifest["config"], fh)
-        config_path = fh.name
-    try:
-        replay_args = argparse.Namespace(
-            config=config_path,
-            seed=manifest["master_seed"],
-            out=str(out),
-            alpha=None,
-            format=manifest.get("format", "csv"),
-        )
-        return _COMMANDS[command](replay_args)
-    finally:
-        os.unlink(config_path)
-
-
-_COMMANDS.update({
+#: The subcommands that run an experiment, for both the parser and the driver.
+COMMANDS = {
     "spce": cmd_spce,
     "coins": cmd_coins,
     "purity": cmd_purity,
     "bertrand": cmd_bertrand,
     "qkd": cmd_qkd,
-})
+}
+
+
+# ---------------------------------------------------------------------------
+# the driver: effective config -> seed -> plan in a staging directory -> commit
+
+def _commit(command, cfg, seed, out: Path, fmt) -> int:
+    """Run ``command``'s plan in a staging directory inside ``out``, then move its files into place.
+
+    The manifest is written into the staging directory and moved last.  On any
+    failure the staging directory is deleted, and so are the directories this
+    call created, so ``out`` is left as it was.
+    """
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".spcelab-stage-", dir=out))
+    committed = False
+    try:
+        outputs, code, summary = COMMANDS[command](cfg, seed, stage, fmt)
+        names = sorted(outputs)
+        _write_json(stage / "manifest.json", {
+            "artifact_version": __version__,
+            "command": command,
+            "config": cfg,
+            "config_hash": _config_hash(cfg),
+            "master_seed": seed,
+            "format": fmt,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "outputs": names,
+        })
+        names.append("manifest.json")
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(out / name))
+        for name in names:
+            os.replace(stage / name, out / name)
+        committed = True
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if not committed:
+            for directory in created:
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break
+    print(f"{command}: {summary} -> {out}")
+    return code
+
+
+def _drive(command, cfg, base_dir: Path, seed, out: Path, fmt, alpha=None) -> int:
+    """Fold overrides into the config, resolve the seed, and run the command.
+
+    The manifest records the config the run actually used: ``--alpha`` is
+    folded into ``alpha``, and relative purity ``inputs`` paths are made
+    absolute against ``base_dir`` (the config file's directory).
+    """
+    _require(fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}")
+    if alpha is not None:
+        cfg["alpha"] = alpha
+    if command == "purity" and isinstance(cfg.get("inputs"), list):
+        cfg["inputs"] = [str(base_dir / p) if isinstance(p, str) else p for p in cfg["inputs"]]
+    return _commit(command, cfg, _resolve_seed(cfg, seed), out, fmt)
+
+
+def cmd_replay(args) -> int:
+    manifest_path = Path(args.manifest)
+    manifest = _load_object(manifest_path, "manifest")
+    command = manifest.get("command")
+    _require(command in COMMANDS, f"manifest names unknown command {command!r}")
+    _require(isinstance(manifest.get("config"), dict), "manifest 'config' must be an object")
+    out = Path(args.out) if args.out is not None else manifest_path.parent
+    return _drive(command, manifest["config"], manifest_path.resolve().parent,
+                  _get_int(manifest, "master_seed"), out, manifest.get("format", "csv"))
+
+
+def cmd_run(args) -> int:
+    out = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_ROOT, "spcelab-out"))
+    return _drive(args.command, _load_object(args.config, "config"),
+                  Path(args.config).resolve().parent, args.seed, out, args.format,
+                  getattr(args, "alpha", None))
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG, so no exit status reads as a purity verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spcelab",
         description="Reproducible Monte Carlo experiments: correlation pairs, coin devices, "
                     "purity tests, random chords, and raw key extraction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_alpha=False):
+    for name in COMMANDS:
+        p = sub.add_parser(name, help=f"run the {name} experiment from a config document")
         p.add_argument("--config", required=True, help="path to the JSON config document")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${ENV_OUT_ROOT} or ./spcelab-out)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
+        p.add_argument("--format", choices=FORMATS, default="csv",
                        help="format for tabular outputs")
-        if with_alpha:
+        if name == "purity":
             p.add_argument("--alpha", type=float, default=None,
                            help="significance level (overrides config)")
-        else:
-            p.set_defaults(alpha=None)
-
-    for name, func, with_alpha in (
-        ("spce", cmd_spce, False),
-        ("coins", cmd_coins, False),
-        ("purity", cmd_purity, True),
-        ("bertrand", cmd_bertrand, False),
-        ("qkd", cmd_qkd, False),
-    ):
-        p = sub.add_parser(name, help=f"run the {name} experiment from a config document")
-        add_common(p, with_alpha)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
 
     replay = sub.add_parser("replay", help="re-execute a recorded run from its manifest")
     replay.add_argument("manifest", help="path to a manifest.json written by a previous run")
@@ -605,6 +578,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -284,8 +284,9 @@ def read_timeseries_jsonl(path):
     """Parse a JSONL series file back into a list of :class:`TimeSeries`.
 
     Raises :class:`FormatError` with the offending line number on malformed
-    input: bad JSON, records before any header, non +/-1 outcomes,
-    non-consecutive indices, or a truncated final series.
+    input: bad JSON or a record that is not an object, records before any
+    header, outcomes other than the integers +1/-1, indices that are not
+    consecutive integers, or a truncated final series.
     """
     out = []
     header = None
@@ -316,10 +317,12 @@ def read_timeseries_jsonl(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON ({exc.msg})", lineno) from exc
+            if not isinstance(record, dict):
+                raise FormatError("record must be a JSON object", lineno)
             if record.get("kind") == "header":
                 finish(lineno)
-                if "n" not in record:
-                    raise FormatError("header record missing 'n'", lineno)
+                if type(record.get("n")) is not int or record["n"] < 0:
+                    raise FormatError("header 'n' must be a non-negative integer", lineno)
                 header = record
                 values = []
                 continue
@@ -327,9 +330,9 @@ def read_timeseries_jsonl(path):
                 raise FormatError("trial record before any header", lineno)
             if "outcome" not in record or "index" not in record:
                 raise FormatError("trial record missing 'index' or 'outcome'", lineno)
-            if record["outcome"] not in (1, -1):
+            if type(record["outcome"]) is not int or record["outcome"] not in (1, -1):
                 raise FormatError(f"outcome must be +1 or -1, got {record['outcome']}", lineno)
-            if record["index"] != len(values):
+            if type(record["index"]) is not int or record["index"] != len(values):
                 raise FormatError(
                     f"expected index {len(values)}, got {record['index']}", lineno
                 )

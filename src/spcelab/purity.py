@@ -51,6 +51,11 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _finite_or_none(x):
+    """An undefined (NaN) statistic as None, so serialized reports stay strict JSON."""
+    return None if x is None or math.isnan(x) else x
+
+
 @dataclass
 class TestReport:
     """Outcome of one hypothesis test at significance ``alpha``.
@@ -79,9 +84,9 @@ class TestReport:
         return {
             "test": self.test_name,
             "label": self.label,
-            "statistic": self.statistic,
-            "p": self.p_value,
-            "p_adjusted": self.p_adjusted,
+            "statistic": _finite_or_none(self.statistic),
+            "p": _finite_or_none(self.p_value),
+            "p_adjusted": _finite_or_none(self.p_adjusted),
             "alpha": self.alpha,
             "reject": self.reject,
             "valid": self.valid,

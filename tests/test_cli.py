@@ -15,9 +15,22 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def load_json(path):
+    """Parse a JSON output strictly: bare NaN or Infinity fails the test."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def read_outputs(out_dir):
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    return {name: (out_dir / name).read_bytes() for name in manifest["outputs"]}
+    manifest = load_json(out_dir / "manifest.json")
+    outputs = {name: (out_dir / name).read_bytes() for name in manifest["outputs"]}
+    for name in outputs:
+        if name.endswith(".json"):
+            load_json(out_dir / name)
+    return outputs
 
 
 STANDARD_AXES = {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135}
@@ -30,7 +43,7 @@ class TestSpceCommand:
         assert main(["spce", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("runs.jsonl", "correlators.csv", "chsh.json", "manifest.json"):
             assert (out / name).exists()
-        report = json.loads((out / "chsh.json").read_text())
+        report = load_json(out / "chsh.json")
         assert report["S"] is None
         assert report["low_n"] is True
         lines = (out / "runs.jsonl").read_text().splitlines()
@@ -43,7 +56,7 @@ class TestSpceCommand:
         })
         out = tmp_path / "out"
         assert main(["spce", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "chsh.json").read_text())
+        report = load_json(out / "chsh.json")
         assert 2.81 <= report["S"] <= 2.85
         assert report["low_n"] is False
 
@@ -63,7 +76,7 @@ class TestSpceCommand:
         cfg = write_config(tmp_path, {"axes": {"A": 0, "B": 45}, "n": 50, "seed": 2})
         out = tmp_path / "out"
         assert main(["spce", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-        records = json.loads((out / "correlators.json").read_text())
+        records = load_json(out / "correlators.json")
         assert records[0]["setting_pair"] == "AB"
         assert isinstance(records[0]["r"], float)
 
@@ -134,7 +147,7 @@ class TestPurityCommand:
         })
         out = tmp_path / "out"
         assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
-        doc = json.loads((out / "verdict.json").read_text())
+        doc = load_json(out / "verdict.json")
         assert doc["verdict"] == "pure"
         assert doc["correction"] == "holm"
 
@@ -149,7 +162,7 @@ class TestPurityCommand:
         })
         out = tmp_path / "out"
         assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 1
-        doc = json.loads((out / "verdict.json").read_text())
+        doc = load_json(out / "verdict.json")
         assert doc["verdict"] == "mixed"
 
     def test_small_family_is_inconclusive(self, tmp_path):
@@ -169,12 +182,27 @@ class TestPurityCommand:
                      "--alpha", "0.05"]) == 0
 
     def test_truncated_input_exits_above_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"kind": "header", "n": 5}\n{"index": 0, "outcome": 1}\nnot json\n')
-        cfg = write_config(tmp_path, {"inputs": [str(bad)], "seed": 0})
-        code = main(["purity", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 4
-        assert "line 3" in capsys.readouterr().err
+        head = '{"kind": "header", "n": 5}\n{"index": 0, "outcome": 1}\n'
+        for third_line in ("not json", "[1]", '{"index": 1, "outcome": true}',
+                           '{"index": 1.0, "outcome": 1}'):
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(head + third_line + "\n")
+            cfg = write_config(tmp_path, {"inputs": [str(bad)], "seed": 0})
+            code = main(["purity", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == 4, third_line
+            assert "line 3" in capsys.readouterr().err, third_line
+
+    def test_invalid_runs_tests_write_strict_json(self, tmp_path):
+        # prefix(0.005) leaves 15 trials per member, too few for a runs test
+        cfg = write_config(tmp_path, {
+            "generate": {"experiments": [{"box": "E6", "urn": [50, 50], "n": 3000, "count": 3}]},
+            "procedures": [{"kind": "prefix", "param": 0.005}],
+            "seed": 3,
+        })
+        out = tmp_path / "out"
+        assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        invalid = [r for r in load_json(out / "verdict.json")["reports"] if not r["valid"]]
+        assert invalid and all(r["p"] is None for r in invalid)
 
 
 class TestBertrandCommand:
@@ -212,9 +240,9 @@ class TestQkdCommand:
         cfg = write_config(tmp_path, {"axis": 0, "epsilon": 0.0, "n": 2000, "seed": 41})
         out = tmp_path / "out"
         assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = load_json(out / "report.json")
         assert report["mismatch"] == 0.0
-        keys = json.loads((out / "keys.json").read_text())
+        keys = load_json(out / "keys.json")
         assert keys["alice"] == keys["bob"]
 
     def test_smeared_mismatch_with_test_block(self, tmp_path):
@@ -224,7 +252,7 @@ class TestQkdCommand:
         })
         out = tmp_path / "out"
         assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = load_json(out / "report.json")
         assert abs(report["mismatch"] - 0.04875) < 4 * math.sqrt(0.04875 * 0.95 / 100_000)
         assert abs(report["chsh"]["S"] - 2 * math.sqrt(2) * 0.9025) < 0.05
 
@@ -235,9 +263,62 @@ class TestQkdCommand:
         })
         out = tmp_path / "out"
         assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = load_json(out / "report.json")
         assert report["chsh"]["S"] <= 2.0 + 1e-12
         assert report["chsh"]["adversary"] is True
+
+
+@pytest.mark.parametrize("command,cfg,field", [
+    ("spce", {"axes": {"A": 0, "B": 45}, "n": 10, "record_limit": True}, "record_limit"),
+    ("coins", {"experiment": "E5", "n": 10, "urn": [True, 5]}, "urn"),
+    ("coins", {"experiment": "E5", "n": 10, "urn": [5, 5], "remove": True}, "remove"),
+    ("coins", {"experiment": "E4", "n": 10, "urn": [5, 5], "with_replacement": "no"},
+     "with_replacement"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": ["a", 5], "n": 100}]}}, "urn"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [2.7, 3], "n": 100}]}}, "urn"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "procedures": [{"kind": "thin", "param": "half"}]}, "param"),
+    ("purity", {"inputs": [5]}, "inputs"),
+    ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10, "adversary": "no"}}, "adversary"),
+])
+def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestExitCodes:
+    def test_usage_error_exits_three(self, tmp_path):
+        cfg = write_config(tmp_path, {"generate": {"experiments": []}})
+        with pytest.raises(SystemExit) as exc:
+            main(["purity", "--config", str(cfg), "--alpha", "abc"])
+        assert exc.value.code == 3
+
+    def test_internal_error_exits_six_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler fault")
+
+        monkeypatch.setattr("spcelab.bertrand.estimate_probability", broken)
+        cfg = write_config(tmp_path, {"machines": ["M1"], "n": 10, "seed": 1})
+        out = tmp_path / "out"
+        assert main(["bertrand", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "sampler fault" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,cfg,blocked", [
+        ("spce", {"axes": {"A": 0, "B": 45}, "n": 10, "seed": 1}, "chsh.json"),
+        ("coins", {"experiment": "E5E6", "n": 10, "urn": [5, 5], "seed": 1}, "summary.csv"),
+    ])
+    def test_failed_commit_leaves_out_untouched(self, tmp_path, command, cfg, blocked):
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 5
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert list((out / blocked).iterdir()) == []
 
 
 class TestReplay:
@@ -277,11 +358,26 @@ class TestReplay:
         })
         original = tmp_path / "original"
         main(["purity", "--config", str(cfg_path), "--out", str(original), "--alpha", "0.01"])
-        manifest = json.loads((original / "manifest.json").read_text())
+        manifest = load_json(original / "manifest.json")
         assert manifest["config"]["alpha"] == 0.01
         replayed = tmp_path / "replayed"
         main(["replay", str(original / "manifest.json"), "--out", str(replayed)])
         assert (original / "verdict.json").read_bytes() == (replayed / "verdict.json").read_bytes()
+
+    def test_purity_inputs_replay_from_elsewhere(self, tmp_path, monkeypatch):
+        coins_cfg = write_config(tmp_path, {"experiment": "E6", "n": 3000, "urn": [50, 50],
+                                            "runs": 4, "seed": 24}, "gen.json")
+        assert main(["coins", "--config", str(coins_cfg), "--out", str(tmp_path / "coins")]) == 0
+        (tmp_path / "purity").mkdir()
+        cfg_path = write_config(tmp_path / "purity", {"inputs": ["../coins/series.jsonl"], "seed": 25})
+        original = tmp_path / "original"
+        code = main(["purity", "--config", str(cfg_path), "--out", str(original)])
+        manifest = load_json(original / "manifest.json")
+        assert manifest["config"]["inputs"] == [str(cfg_path.parent.resolve() / "../coins/series.jsonl")]
+        monkeypatch.chdir(tmp_path / "coins")
+        replayed = tmp_path / "replayed"
+        assert main(["replay", str(original / "manifest.json"), "--out", str(replayed)]) == code
+        assert read_outputs(original) == read_outputs(replayed)
 
     def test_replay_in_place_is_stable(self, tmp_path):
         cfg_path = write_config(tmp_path, {"machines": ["M1"], "n": 100, "seed": 56})
