@@ -23,7 +23,7 @@ cli
     Config-driven command line with replayable run manifests.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import ConfigError, DomainError, FormatError
 from .randkit import (

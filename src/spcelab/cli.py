@@ -83,6 +83,13 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _check_fields(obj, where, *allowed):
+    """Reject every key of the config object ``obj`` that is not in ``allowed``, naming it."""
+    unknown = sorted(set(obj) - set(allowed))
+    _require(not unknown, f"unknown field(s) {', '.join(map(repr, unknown))} in {where}"
+                          f" (allowed: {', '.join(allowed)})")
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -187,6 +194,7 @@ _AXIS_LABELS = {"A": "A", "A_prime": "A'", "B": "B", "B_prime": "B'"}
 
 
 def cmd_spce(cfg, seed, stage: Path, fmt):
+    _check_fields(cfg, "config", "seed", "axes", "epsilon", "n", "record_limit")
     axes_cfg = cfg.get("axes")
     _require(isinstance(axes_cfg, dict), "spce config needs an 'axes' object")
     _require("A" in axes_cfg and "B" in axes_cfg, "'axes' must define at least 'A' and 'B'")
@@ -196,8 +204,8 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
         axes[_AXIS_LABELS[key]] = _parse_axis(value, key)
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, dict):
-        epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}")
-                    for k, v in eps_cfg.items() if k in _AXIS_LABELS}
+        _check_fields(eps_cfg, "'epsilon'", *_AXIS_LABELS)
+        epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}") for k, v in eps_cfg.items()}
         for label in axes:
             _require(label in epsilons, f"epsilon missing for axis '{label}'")
     else:
@@ -257,6 +265,8 @@ def _summarize(experiment, counts, runs, n):
 
 
 def cmd_coins(cfg, seed, stage: Path, fmt):
+    _check_fields(cfg, "config", "seed", "experiment", "runs", "n", "series_limit", "initial_face",
+                  "with_replacement", "urn", "remove")
     experiment = cfg.get("experiment")
     _require(experiment in ("E1", "E2", "E3", "E4", "E5", "E6", "E5E6"),
              f"'experiment' must be one of E1..E6 or E5E6, got {experiment!r}")
@@ -270,7 +280,8 @@ def cmd_coins(cfg, seed, stage: Path, fmt):
     if experiment not in _DEVICES:
         _require(urn is not None, f"experiment {experiment} requires an 'urn'")
     remove = _get_int(cfg, "remove", minimum=0, default=0)
-    if remove and urn is not None:
+    if remove:
+        _require(urn is not None, "'remove' needs an 'urn' to remove coins from")
         _require(remove <= urn.total, f"cannot remove {remove} coins from {urn.total}")
         urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
 
@@ -328,9 +339,11 @@ def _purity_samples(cfg, seed):
         gen = cfg["generate"]
         _require(isinstance(gen, dict) and isinstance(gen.get("experiments"), list),
                  "'generate' must hold an 'experiments' list")
+        _check_fields(gen, "'generate'", "experiments")
         entries = []
         for entry in gen["experiments"]:
             _require(isinstance(entry, dict), "each generate entry must be an object")
+            _check_fields(entry, "a generate entry", "box", "urn", "n", "count")
             box_name = entry.get("box")
             _require(box_name in _BOXES, f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
             entries.append((_BOXES[box_name], _parse_urn(entry.get("urn")),
@@ -352,6 +365,7 @@ def _purity_procedures(cfg):
     procedures = []
     for entry in entries:
         _require(isinstance(entry, dict) and "kind" in entry, "each procedure needs a 'kind'")
+        _check_fields(entry, "a procedure", "kind", "param")
         param = entry.get("param", 1.0)
         _require(_is_number(param), f"procedure 'param' must be a number, got {param!r}")
         try:
@@ -365,6 +379,8 @@ _VERDICT_EXIT = {"pure": EXIT_OK, "mixed": EXIT_MIXED, "inconclusive": EXIT_INCO
 
 
 def cmd_purity(cfg, seed, stage: Path, fmt):
+    _check_fields(cfg, "config", "seed", "alpha", "inputs", "generate", "procedures",
+                  "subensemble_count", "subensemble_fraction", "power_floor")
     cfg.setdefault("alpha", 0.05)  # the manifest records the alpha in effect
     alpha = _get_number(cfg, "alpha")
     _require(0.0 < alpha < 1.0, f"'alpha' must lie in (0, 1), got {alpha}")
@@ -381,6 +397,7 @@ def cmd_purity(cfg, seed, stage: Path, fmt):
 
 
 def cmd_bertrand(cfg, seed, stage: Path, fmt):
+    _check_fields(cfg, "config", "seed", "machines", "n")
     machines = cfg.get("machines", ["M1", "M2", "M3"])
     _require(isinstance(machines, list) and machines, "'machines' must be a non-empty list")
     for name in machines:
@@ -397,6 +414,7 @@ def cmd_bertrand(cfg, seed, stage: Path, fmt):
 
 
 def cmd_qkd(cfg, seed, stage: Path, fmt):
+    _check_fields(cfg, "config", "seed", "axis", "epsilon", "n", "test")
     axis = _parse_axis(cfg.get("axis", 0.0), "axis")
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, list):
@@ -408,10 +426,12 @@ def cmd_qkd(cfg, seed, stage: Path, fmt):
     test_cfg = cfg.get("test")
     if test_cfg is not None:
         _require(isinstance(test_cfg, dict), "'test' must be an object")
+        _check_fields(test_cfg, "'test'", "axes", "n", "adversary")
         axes_cfg = test_cfg.get("axes", {})
         required = ("A", "A_prime", "B", "B_prime")
         _require(isinstance(axes_cfg, dict) and all(k in axes_cfg for k in required),
                  "'test.axes' must define A, A_prime, B, B_prime")
+        _check_fields(axes_cfg, "'test.axes'", *required)
         test_axes = [_parse_axis(axes_cfg[k], f"test.axes.{k}") for k in required]
         n_test = _get_int(test_cfg, "n", minimum=1)
         adversary = _get_bool(test_cfg, "adversary", False)

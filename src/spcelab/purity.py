@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from .coin_lab import TimeSeries
 from .errors import DomainError
@@ -199,6 +198,29 @@ def random_subensemble(series: TimeSeries, fraction: float, rng: RngStream,
     return TimeSeries(series.values[idx].copy(), meta)
 
 
+def _chi2_sf(x, dof) -> float:
+    """Chi-square survival function ``P(X > x)`` for an integer ``dof >= 1``.
+
+    With ``lam = x / 2`` it is the Poisson tail
+    ``sum_{j < dof/2} e^-lam lam^j / j!`` for even ``dof``, and
+    ``erfc(sqrt(lam)) + sum_{j < (dof-1)/2} e^-lam lam^(j+1/2) / Gamma(j+3/2)``
+    for odd ``dof``.  Every term is positive, so the sum cannot cancel; each
+    is formed in log space and scaled by the largest, so neither large
+    ``dof`` nor far-tail ``x`` underflows before the final product.
+    """
+    lam = x / 2.0
+    if lam <= 0.0:
+        return 1.0
+    half, odd = divmod(dof, 2)
+    p_value = math.erfc(math.sqrt(lam)) if odd else 0.0
+    if half:
+        powers = np.arange(half) + 0.5 * odd
+        log_terms = powers * math.log(lam) - lam - np.array([math.lgamma(a + 1.0) for a in powers])
+        top = float(log_terms.max())
+        p_value += math.exp(top) * float(np.sum(np.exp(log_terms - top)))
+    return p_value
+
+
 def chi2_homogeneity(samples, alpha) -> TestReport:
     """Chi-square homogeneity test of k binary samples against one population.
 
@@ -223,7 +245,7 @@ def chi2_homogeneity(samples, alpha) -> TestReport:
         return TestReport("chi2_homogeneity", math.nan, math.nan, alpha,
                           valid=False, note="expected cell count of 0; statistic undefined")
     statistic = float(np.sum((table - expected) ** 2 / expected))
-    p_value = float(_stats.chi2.sf(statistic, dof))
+    p_value = _chi2_sf(statistic, dof)
     if np.any(expected < 5.0):
         return TestReport("chi2_homogeneity", statistic, p_value, alpha,
                           valid=False, note="expected cell count below 5; approximation unreliable")
@@ -247,9 +269,11 @@ def ks_two_sample(x, y, alpha) -> TestReport:
     cdf_x = np.searchsorted(xv, pooled, side="right") / n
     cdf_y = np.searchsorted(yv, pooled, side="right") / m
     statistic = float(np.max(np.abs(cdf_x - cdf_y)))
+    from scipy.stats import kstwo  # imported here so no command pays for scipy at start-up
+
     # one-sample KS tail at the effective size, the standard two-sample asymptotic
     effective = round(n * m / (n + m))
-    p_value = float(_stats.kstwo.sf(statistic, effective))
+    p_value = float(kstwo.sf(statistic, effective))
     return TestReport("ks_two_sample", statistic, min(p_value, 1.0), alpha)
 
 

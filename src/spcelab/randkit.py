@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# imported here, not on first use: numpy loads numpy.random lazily, and every
+# command draws from a stream, so the import belongs to start-up
+from numpy.random import Generator, Philox
 
 from .errors import DomainError
 
@@ -47,10 +50,10 @@ class RngStream:
         self.master_seed = _check_u64(master_seed, "master_seed")
         self.stream_id = _check_u64(stream_id, "stream_id")
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator = Generator(Philox(key=key))
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """The underlying ``numpy.random.Generator``."""
         return self._generator
 

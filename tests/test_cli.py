@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spcelab
 from spcelab.cli import main
 
 
@@ -280,6 +283,17 @@ class TestQkdCommand:
                 "procedures": [{"kind": "thin", "param": "half"}]}, "param"),
     ("purity", {"inputs": [5]}, "inputs"),
     ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10, "adversary": "no"}}, "adversary"),
+    ("coins", {"experiment": "E1", "n": 5, "remove": 3}, "remove"),
+    ("spce", {"axes": {"A": 0, "B": 45}, "epsilon": {"A": 0.1, "B": 0.2, "B_prim": 1.5}, "n": 10},
+     "B_prim"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "sead": 3}, "sead"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "subensembles": 2}, "subensembles"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "cout": 2}]}},
+     "cout"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "procedures": [{"kind": "thin", "parm": 0.5}]}, "parm"),
+    ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10, "adversery": True}}, "adversery"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)
@@ -404,3 +418,25 @@ class TestProcessEntry:
         cfg = write_config(tmp_path, {"machines": ["M1"], "n": 10, "seed": 1})
         assert main(["bertrand", "--config", str(cfg)]) == 0
         assert (tmp_path / "env-out" / "bertrand.csv").exists()
+
+    def test_purity_runs_without_scipy(self, tmp_path):
+        # importing scipy.stats costs most of a command's start-up; no command may load it
+        cfg = write_config(tmp_path, {
+            "generate": {"experiments": [{"box": "E6", "urn": [50, 50], "n": 200, "count": 3}]},
+            "procedures": [{"kind": "thin", "param": 0.5}],
+            "seed": 1,
+        })
+        script = (
+            "import json, sys\n"
+            "from spcelab.cli import main\n"
+            f"code = main(['purity', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        src = Path(spcelab.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        code, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 2  # inconclusive: 600 outcomes are below the power floor
+        assert (tmp_path / "out" / "verdict.json").exists()
+        assert scipy_modules == []

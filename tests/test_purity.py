@@ -9,6 +9,7 @@ from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, TimeSeries, UrnState
 from spcelab.errors import DomainError
 from spcelab.purity import (
     DEFAULT_POWER_FLOOR,
+    _chi2_sf,
     Reduction,
     Sample,
     TestReport as HypothesisTestReport,
@@ -162,6 +163,26 @@ class TestChi2Homogeneity:
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
             chi2_homogeneity([series_from_count(5, 10)], 0.05)
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize("dof", [*range(1, 61), 999, 1000, 3009, 3010, 5000])
+    def test_matches_scipy(self, dof):
+        mean, sd = dof, math.sqrt(2 * dof)
+        xs = np.concatenate([[0.0], mean + sd * np.linspace(-6, 6, 25),
+                             mean + sd * np.geomspace(8, 1e4, 80)])
+        smallest = 1.0
+        for x in xs[xs >= 0]:
+            expected = scipy_stats.chi2.sf(x, dof)
+            if expected > 1e-300:
+                assert _chi2_sf(float(x), dof) == pytest.approx(expected, rel=1e-10, abs=0), x
+                smallest = min(smallest, expected)
+        assert smallest < 1e-250  # the grid reached the far tail
+
+    @pytest.mark.parametrize("x", [0.0, 1e-6, 0.3, 1.0, 5.0, 40.0, 700.0, 1300.0])
+    def test_closed_forms(self, x):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
 
 
 class TestKsTwoSample:
