@@ -3,8 +3,9 @@
 Modules
 -------
 randkit
-    Reproducible counter-based random streams, spherical-cap sampling, and
-    the urn step-probability formula.
+    Reproducible counter-based random streams, one at a time or many in one
+    vectorized pass, spherical-cap sampling, and the urn step-probability
+    formula.
 coin_lab
     Macroscopic coin experiments E1-E6: deterministic, alternating,
     Bernoulli, urn, mixed-box, and pure-box devices.
@@ -23,7 +24,7 @@ cli
     Config-driven command line with replayable run manifests.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import ConfigError, DomainError, FormatError
 from .randkit import (
@@ -33,6 +34,7 @@ from .randkit import (
     angle_between,
     hypergeometric_step_prob,
     sample_cap,
+    stream_uniforms,
     substream,
     uniform_direction,
 )
@@ -40,15 +42,19 @@ from .coin_lab import (
     BoxKind,
     CoinFace,
     DeviceKind,
+    OutcomeLaw,
     TimeSeries,
     UrnState,
+    box_law,
+    device_law,
     draw_urn,
     read_timeseries_jsonl,
     regenerate_series,
     remove_coins,
     run_box_experiment,
     run_device,
-    urn_count_batch,
+    sample_runs,
+    urn_law,
     write_timeseries_jsonl,
 )
 from .spce import (

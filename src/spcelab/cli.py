@@ -205,6 +205,8 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, dict):
         _check_fields(eps_cfg, "'epsilon'", *_AXIS_LABELS)
+        for key in eps_cfg:
+            _require(key in axes_cfg, f"'epsilon' names axis '{key}', which 'axes' does not define")
         epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}") for k, v in eps_cfg.items()}
         for label in axes:
             _require(label in epsilons, f"epsilon missing for axis '{label}'")
@@ -264,47 +266,50 @@ def _summarize(experiment, counts, runs, n):
             float(counts.mean() / n), None, None]
 
 
+_COIN_FIELDS = ("seed", "experiment", "runs", "n", "series_limit")
+#: The fields each experiment uses besides ``_COIN_FIELDS``; any other field is rejected.
+_EXPERIMENT_FIELDS = {**dict.fromkeys(_DEVICES, ("initial_face",)),
+                      "E4": ("urn", "remove", "with_replacement"),
+                      **dict.fromkeys(("E5", "E6", "E5E6"), ("urn", "remove"))}
+
+
 def cmd_coins(cfg, seed, stage: Path, fmt):
-    _check_fields(cfg, "config", "seed", "experiment", "runs", "n", "series_limit", "initial_face",
-                  "with_replacement", "urn", "remove")
     experiment = cfg.get("experiment")
-    _require(experiment in ("E1", "E2", "E3", "E4", "E5", "E6", "E5E6"),
+    _require(experiment in _EXPERIMENT_FIELDS,
              f"'experiment' must be one of E1..E6 or E5E6, got {experiment!r}")
+    _check_fields(cfg, f"a coins config for experiment {experiment}",
+                  *_COIN_FIELDS, *_EXPERIMENT_FIELDS[experiment])
     runs = _get_int(cfg, "runs", minimum=1, default=1)
     n = _get_int(cfg, "n", minimum=1)
     series_limit = _get_int(cfg, "series_limit", minimum=0, default=10)
     face = cfg.get("initial_face", "B")
     _require(face in ("B", "R"), f"'initial_face' must be 'B' or 'R', got {face!r}")
     with_replacement = _get_bool(cfg, "with_replacement", False)
-    urn = None if cfg.get("urn") is None else _parse_urn(cfg["urn"])
+    urn = None
     if experiment not in _DEVICES:
-        _require(urn is not None, f"experiment {experiment} requires an 'urn'")
+        _require(cfg.get("urn") is not None, f"experiment {experiment} requires an 'urn'")
+        urn = _parse_urn(cfg["urn"])
     remove = _get_int(cfg, "remove", minimum=0, default=0)
     if remove:
-        _require(urn is not None, "'remove' needs an 'urn' to remove coins from")
         _require(remove <= urn.total, f"cannot remove {remove} coins from {urn.total}")
         urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
 
-    def one_series(exp, rng):
+    def law(exp):
         if exp in _DEVICES:
-            return coin_lab.run_device(_DEVICES[exp], coin_lab.CoinFace[face], n, rng)
+            return coin_lab.device_law(_DEVICES[exp], coin_lab.CoinFace[face], n)
         if exp == "E4":
-            return coin_lab.draw_urn(urn, n, with_replacement, rng)[0]
-        return coin_lab.run_box_experiment(_BOXES[exp], urn, n, rng)
+            return coin_lab.urn_law(urn, n, with_replacement)
+        return coin_lab.box_law(_BOXES[exp], urn, n)
 
     experiments = ["E5", "E6"] if experiment == "E5E6" else [experiment]
     outputs = []
     rows = []
     pooled = {}
     for exp_index, exp in enumerate(experiments):
-        serialized = []
-        counts = np.empty(runs, dtype=np.int64)
-        for r in range(runs):
-            # stream 0 is reserved for the removal perturbation
-            series = one_series(exp, substream(seed, 1 + exp_index * runs + r))
-            counts[r] = int(np.sum(series.values == 1))
-            if r < series_limit:
-                serialized.append(series)
+        # stream 0 is reserved for the removal perturbation
+        first = 1 + exp_index * runs
+        counts, serialized = coin_lab.sample_runs(
+            law(exp), seed, np.arange(first, first + runs, dtype=np.uint64), keep=series_limit)
         name = "series.jsonl" if len(experiments) == 1 else f"series_{exp.lower()}.jsonl"
         coin_lab.write_timeseries_jsonl(serialized, stage / name)
         outputs.append(name)
@@ -346,15 +351,15 @@ def _purity_samples(cfg, seed):
             _check_fields(entry, "a generate entry", "box", "urn", "n", "count")
             box_name = entry.get("box")
             _require(box_name in _BOXES, f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
-            entries.append((_BOXES[box_name], _parse_urn(entry.get("urn")),
-                         _get_int(entry, "n", minimum=1),
-                         _get_int(entry, "count", minimum=1, default=1)))
+            law = coin_lab.box_law(_BOXES[box_name], _parse_urn(entry.get("urn")),
+                                   _get_int(entry, "n", minimum=1))
+            entries.append((law, _get_int(entry, "count", minimum=1, default=1)))
         stream_id = 1
-        for box, urn, n, count in entries:
-            for _ in range(count):
-                series = coin_lab.run_box_experiment(box, urn, n, substream(seed, stream_id))
-                samples.append(purity.Sample(series, f"S{stream_id - 1}"))
-                stream_id += 1
+        for law, count in entries:
+            ids = np.arange(stream_id, stream_id + count, dtype=np.uint64)
+            _, series = coin_lab.sample_runs(law, seed, ids, keep=count)
+            samples.extend(purity.Sample(s, f"S{s.meta['stream_id'] - 1}") for s in series)
+            stream_id += count
     _require(len(samples) >= 2, f"purity needs at least 2 samples, found {len(samples)}")
     return samples
 

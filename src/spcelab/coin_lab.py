@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .randkit import RngStream, substream
+from .randkit import RngStream, stream_uniforms, substream
 
 
 class CoinFace(enum.Enum):
@@ -101,12 +101,71 @@ class TimeSeries:
         return "".join("B" if v == 1 else "R" for v in self.values)
 
 
-def _stream_meta(rng: RngStream) -> dict:
-    return {"master_seed": rng.master_seed, "stream_id": rng.stream_id}
+#: Uniforms per pass of :func:`sample_runs`; bounds its working set.
+BATCH_UNIFORMS = 2**15
 
 
-def run_device(kind: DeviceKind, initial_face: CoinFace, n: int, rng: RngStream) -> TimeSeries:
-    """Flip one coin ``n`` times in the given device.
+def _urn_step_law(u, n_blue, total):
+    """Blue indicators of draws without replacement, one uniform per draw.
+
+    Draw ``k`` is blue iff ``u_k < (n_blue - m_k) / (total - k)``, where
+    ``m_k`` counts the blues before it: the sequential form of a uniform
+    random permutation of the urn.  Works along the last axis, so 1-D input
+    is one run and 2-D input one run per row.
+    """
+    blue = np.empty(u.shape, dtype=bool)
+    m = np.zeros(u.shape[:-1], dtype=np.int64)
+    for k in range(u.shape[-1]):
+        step = u[..., k] < (n_blue - m) / (total - k)
+        blue[..., k] = step
+        m += step
+    return blue
+
+
+@dataclass(frozen=True)
+class OutcomeLaw:
+    """How one run of an experiment turns the uniforms of its stream into outcomes.
+
+    ``generator_id`` and ``params`` are what a series header records, so a
+    run is regenerable from its header and its ``(master_seed, stream_id)``.
+    Build laws with :func:`device_law`, :func:`urn_law` or :func:`box_law`,
+    which check their arguments.
+    """
+
+    generator_id: str
+    params: dict
+
+    @property
+    def uniforms(self) -> int:
+        """Uniforms one run consumes: none for D1, one for D2, one per trial otherwise."""
+        return {"device:D1": 0, "device:D2": 1}.get(self.generator_id, self.params["n"])
+
+    def blue(self, u) -> np.ndarray:
+        """Blue (+1) indicators from ``uniforms`` uniforms per run (last axis; 1-D or 2-D)."""
+        gid, params, n = self.generator_id, self.params, self.params["n"]
+        if gid == "device:D1":
+            return np.full(u.shape[:-1] + (n,), params["initial_face"] == "R")
+        if gid == "device:D2":
+            return (np.arange(n) % 2 == 0) == (u[..., :1] < 0.5)
+        if gid in ("device:D3", "box:E6"):
+            return u < 0.5
+        total = params["n_blue"] + params["n_red"]
+        if gid == "urn:noreplace":
+            return _urn_step_law(u, params["n_blue"], total)
+        return u < params["n_blue"] / total
+
+    def series(self, rng: RngStream) -> TimeSeries:
+        """One run on ``rng``."""
+        return self._series(self.blue(rng.random(self.uniforms)), rng.master_seed, rng.stream_id)
+
+    def _series(self, blue, master_seed, stream_id) -> TimeSeries:
+        meta = {"master_seed": master_seed, "stream_id": stream_id,
+                "generator_id": self.generator_id, "params": dict(self.params)}
+        return TimeSeries(np.where(blue, 1, -1).astype(np.int8), meta)
+
+
+def device_law(kind: DeviceKind, initial_face: CoinFace, n: int) -> OutcomeLaw:
+    """The law of ``n`` flips of one coin in a device.
 
     D1 deterministically lands the opposite face, giving a constant series of
     ``initial_face.complement``.  D2 alternates strictly; its internal memory
@@ -116,85 +175,31 @@ def run_device(kind: DeviceKind, initial_face: CoinFace, n: int, rng: RngStream)
     """
     if n < 1:
         raise DomainError(f"trial count must be >= 1, got {n}")
-    if kind is DeviceKind.D1_FLIP:
-        values = np.full(n, initial_face.complement.value, dtype=np.int8)
-    elif kind is DeviceKind.D2_ALTERNATING:
-        first = 1 if rng.random() < 0.5 else -1
-        values = np.where(np.arange(n) % 2 == 0, first, -first).astype(np.int8)
-    elif kind is DeviceKind.D3_BERNOULLI:
-        values = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    else:
+    if not isinstance(kind, DeviceKind):
         raise DomainError(f"unknown device kind: {kind!r}")
-    meta = {
-        **_stream_meta(rng),
-        "generator_id": f"device:{kind.value}",
-        "params": {"initial_face": initial_face.name, "n": int(n)},
-    }
-    return TimeSeries(values, meta)
+    return OutcomeLaw(f"device:{kind.value}", {"initial_face": initial_face.name, "n": int(n)})
 
 
-def draw_urn(urn: UrnState, n: int, with_replacement: bool, rng: RngStream):
-    """Draw ``n`` coins from the urn; returns ``(series, post_draw_urn)``.
+def urn_law(urn: UrnState, n: int, with_replacement: bool) -> OutcomeLaw:
+    """The law of ``n`` draws from the urn.
 
     Without replacement the draw order is a uniform random permutation of the
-    urn contents, so the chance of blue at step ``k + 1`` given ``m`` blues so
-    far is ``(n_blue - m) / (total - k)``; the returned urn reflects the
-    removed coins.  With replacement the trials are i.i.d. with
-    ``p = n_blue / total`` and the urn comes back unchanged.
+    urn contents, drawn by the step law: blue at step ``k + 1`` given ``m``
+    blues so far with chance ``(n_blue - m) / (total - k)``.  With
+    replacement the trials are i.i.d. with ``p = n_blue / total``.
     """
     if n < 0:
         raise DomainError(f"draw count must be >= 0, got {n}")
     if urn.total == 0:
         raise DomainError("cannot draw from an empty urn")
-    if with_replacement:
-        p = urn.n_blue / urn.total
-        values = np.where(rng.random(n) < p, 1, -1).astype(np.int8)
-        post = urn
-    else:
-        if n > urn.total:
-            raise DomainError(f"cannot draw {n} coins without replacement from {urn.total}")
-        contents = np.repeat(np.array([1, -1], dtype=np.int8), [urn.n_blue, urn.n_red])
-        values = rng.generator.permutation(contents)[:n]
-        drawn_blue = int(np.sum(values == 1))
-        post = UrnState(urn.n_blue - drawn_blue, urn.n_red - (n - drawn_blue))
-    meta = {
-        **_stream_meta(rng),
-        "generator_id": "urn:replace" if with_replacement else "urn:noreplace",
-        "params": {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)},
-    }
-    return TimeSeries(values, meta), post
-
-
-def urn_count_batch(urn: UrnState, n: int, runs: int, with_replacement: bool, master_seed, stream_id=0) -> np.ndarray:
-    """Blue-coin counts for ``runs`` independent urn draws of length ``n``.
-
-    Vectorized convenience for summary statistics over many runs; the urn is
-    restored between runs.  Equivalent in distribution to repeated
-    :func:`draw_urn` calls, but draws count-level variates in blocks.
-    """
-    if runs < 1:
-        raise DomainError(f"run count must be >= 1, got {runs}")
-    if urn.total == 0:
-        raise DomainError("cannot draw from an empty urn")
-    rng = substream(master_seed, stream_id)
-    if with_replacement:
-        return rng.generator.binomial(n, urn.n_blue / urn.total, size=runs).astype(np.int64)
-    if n > urn.total:
+    if not with_replacement and n > urn.total:
         raise DomainError(f"cannot draw {n} coins without replacement from {urn.total}")
-    contents = np.repeat(np.array([1, -1], dtype=np.int8), [urn.n_blue, urn.n_red])
-    counts = np.empty(runs, dtype=np.int64)
-    chunk = 32768
-    for start in range(0, runs, chunk):
-        m = min(chunk, runs - start)
-        keys = rng.random((m, urn.total))
-        order = np.argsort(keys, axis=1, kind="stable")
-        drawn = contents[order[:, :n]]
-        counts[start : start + m] = np.sum(drawn == 1, axis=1)
-    return counts
+    return OutcomeLaw("urn:replace" if with_replacement else "urn:noreplace",
+                      {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)})
 
 
-def run_box_experiment(box: BoxKind, urn: UrnState, n: int, rng: RngStream) -> TimeSeries:
-    """One run of the mixed (E5) or pure (E6) box experiment.
+def box_law(box: BoxKind, urn: UrnState, n: int) -> OutcomeLaw:
+    """The law of one run of the mixed (E5) or pure (E6) box experiment.
 
     E5 picks a one-colored coin uniformly with replacement and reveals its
     fixed color, so ``p(B) = n_blue / total`` per trial.  E6 feeds identical
@@ -205,31 +210,68 @@ def run_box_experiment(box: BoxKind, urn: UrnState, n: int, rng: RngStream) -> T
         raise DomainError(f"trial count must be >= 1, got {n}")
     if urn.total == 0:
         raise DomainError("box experiment requires a non-empty urn")
-    if box is BoxKind.MIXED_E5:
-        p = urn.n_blue / urn.total
-    elif box is BoxKind.PURE_E6:
-        p = 0.5
-    else:
+    if not isinstance(box, BoxKind):
         raise DomainError(f"unknown box kind: {box!r}")
-    values = np.where(rng.random(n) < p, 1, -1).astype(np.int8)
-    meta = {
-        **_stream_meta(rng),
-        "generator_id": f"box:{box.value}",
-        "params": {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)},
-    }
-    return TimeSeries(values, meta)
+    return OutcomeLaw(f"box:{box.value}", {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)})
+
+
+def run_device(kind: DeviceKind, initial_face: CoinFace, n: int, rng: RngStream) -> TimeSeries:
+    """Flip one coin ``n`` times in the given device (see :func:`device_law`)."""
+    return device_law(kind, initial_face, n).series(rng)
+
+
+def draw_urn(urn: UrnState, n: int, with_replacement: bool, rng: RngStream):
+    """Draw ``n`` coins from the urn (see :func:`urn_law`); returns ``(series, post_draw_urn)``.
+
+    Without replacement the returned urn reflects the removed coins; with
+    replacement it comes back unchanged.
+    """
+    series = urn_law(urn, n, with_replacement).series(rng)
+    if with_replacement:
+        return series, urn
+    drawn_blue = int(np.sum(series.values == 1))
+    return series, UrnState(urn.n_blue - drawn_blue, urn.n_red - (n - drawn_blue))
+
+
+def run_box_experiment(box: BoxKind, urn: UrnState, n: int, rng: RngStream) -> TimeSeries:
+    """One run of the mixed (E5) or pure (E6) box experiment (see :func:`box_law`)."""
+    return box_law(box, urn, n).series(rng)
+
+
+def sample_runs(law: OutcomeLaw, master_seed, stream_ids, keep=0):
+    """Blue counts of one run per stream id, plus the series of the first ``keep`` runs.
+
+    Run ``i`` equals ``law.series(substream(master_seed, stream_ids[i]))``
+    bit for bit.  The uniforms of many runs come from one
+    :func:`~spcelab.randkit.stream_uniforms` pass, about
+    ``BATCH_UNIFORMS`` at a time, so no stream object is built per run and
+    only the kept series are held.
+    """
+    stream_ids = np.asarray(stream_ids)
+    rows = max(1, BATCH_UNIFORMS // max(law.params["n"], 1))
+    counts = np.empty(len(stream_ids), dtype=np.int64)
+    kept = []
+    for start in range(0, len(stream_ids), rows):
+        ids = stream_ids[start:start + rows]
+        blue = law.blue(stream_uniforms(master_seed, ids, law.uniforms))
+        counts[start:start + len(ids)] = blue.sum(axis=1)
+        for sid, row in zip(ids[:max(keep - len(kept), 0)], blue):
+            kept.append(law._series(row, int(master_seed), int(sid)))
+    return counts, kept
 
 
 def remove_coins(urn: UrnState, count: int, rng: RngStream) -> UrnState:
-    """Remove ``count`` coins uniformly without replacement (hypergeometric split)."""
+    """Remove ``count`` coins uniformly without replacement (hypergeometric split).
+
+    The coins are drawn by the same step law as :func:`draw_urn`.
+    """
     if count < 0:
         raise DomainError(f"removal count must be >= 0, got {count}")
     if count > urn.total:
         raise DomainError(f"cannot remove {count} coins from {urn.total}")
     if count == 0:
         return urn
-    blue_removed = int(rng.generator.hypergeometric(urn.n_blue, urn.n_red, count))
-    return UrnState(urn.n_blue - blue_removed, urn.n_red - (count - blue_removed))
+    return draw_urn(urn, count, False, rng)[1]
 
 
 def regenerate_series(meta: dict) -> TimeSeries:

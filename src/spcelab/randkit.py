@@ -74,6 +74,56 @@ def substream(master_seed, stream_id) -> RngStream:
     return RngStream(master_seed, stream_id)
 
 
+# Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m, x):
+    """High and low 64-bit words of the 128-bit product of the constant ``m`` and the array ``x``."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    hi = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def stream_uniforms(master_seed, stream_ids, count) -> np.ndarray:
+    """The first ``count`` uniforms of many streams, computed in one vectorized pass.
+
+    Returns a ``(len(stream_ids), count)`` float64 array whose row ``i`` is
+    bit-identical to ``substream(master_seed, stream_ids[i]).random(count)``.
+    Philox is counter-based: block ``j`` of a stream (counter ``j + 1``, key
+    ``[master_seed, stream_id]``) yields four 64-bit words, and each word
+    ``x`` gives the double ``(x >> 11) * 2**-53``, so every block of every
+    stream is computed independently.
+    """
+    seed = _check_u64(master_seed, "master_seed")
+    ids = np.asarray(stream_ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise DomainError("stream_ids must be a one-dimensional array of integers")
+    if ids.size and ids.dtype.kind == "i" and ids.min() < 0:
+        raise DomainError("stream ids must fit in an unsigned 64-bit integer")
+    count = _check_u64(count, "count")
+    blocks = -(-count // 4)
+    # counter words c1..c3 stay 0 below 2**64 blocks; key word 0 is the seed for every stream
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    ids = ids.astype(np.uint64)[:, None]
+    for r in range(10):
+        # the key is bumped by the Weyl constants before every round but the first
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64_MAX)
+        k1 = ids + np.uint64((r * _PHILOX_W[1]) & _U64_MAX)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(ids.shape[0], 4 * blocks)
+    return (words[:, :count] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit vector on the two-sphere.

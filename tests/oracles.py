@@ -150,6 +150,13 @@ def urn_count_pmf_enumerated(n_blue, n_red, n_draws):
     return {b: Fraction(c, total) for b, c in sorted(counts.items())}
 
 
+def hypergeom_count_pmf(n_blue, n_red, n_draws):
+    """Exact pmf of the blue count in n draws without replacement, by counting subsets."""
+    total = math.comb(n_blue + n_red, n_draws)
+    return {b: Fraction(math.comb(n_blue, b) * math.comb(n_red, n_draws - b), total)
+            for b in range(max(0, n_draws - n_red), min(n_draws, n_blue) + 1)}
+
+
 def hypergeom_count_moments(n_blue, n_red, n_draws):
     """Mean and variance of the blue count in n draws without replacement."""
     total = n_blue + n_red

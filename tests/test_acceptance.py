@@ -14,7 +14,7 @@ import pytest
 import oracles
 from spcelab.bertrand import Machine, estimate_probability
 from spcelab.cli import main as cli_main
-from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, UrnState, run_box_experiment, run_device, urn_count_batch
+from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, UrnState, run_box_experiment, run_device, sample_runs, urn_law
 from spcelab.purity import Reduction, Sample, Verdict, purity_verdict, runs_test
 from spcelab.qkd import generate_keys, mismatch_rate
 from spcelab.randkit import Direction, substream
@@ -124,8 +124,8 @@ def test_criterion_5_qkd_mismatch_monotonicity():
 def test_criterion_6_urn_variance_structure():
     runs, n = 100_000, 100
     urn = UrnState(51, 51)
-    counts_dep = urn_count_batch(urn, n, runs, with_replacement=False, master_seed=6)
-    counts_iid = urn_count_batch(urn, n, runs, with_replacement=True, master_seed=7)
+    counts_dep, _ = sample_runs(urn_law(urn, n, with_replacement=False), 6, np.arange(runs))
+    counts_iid, _ = sample_runs(urn_law(urn, n, with_replacement=True), 7, np.arange(runs))
     _, var_expected = oracles.hypergeom_count_moments(51, 51, n)
     var_dep = float(counts_dep.var(ddof=1))
     var_iid = float(counts_iid.var(ddof=1))

@@ -10,6 +10,8 @@ import pytest
 
 import spcelab
 from spcelab.cli import main
+from spcelab.coin_lab import read_timeseries_jsonl, regenerate_series
+from spcelab.randkit import RngStream
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -137,6 +139,51 @@ class TestCoinsCommand:
         assert main(["coins", "--config", str(cfg), "--out", str(out_a)]) == 0
         assert main(["coins", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
+
+
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "E1", "initial_face": "R"},
+        {"experiment": "E2"},
+        {"experiment": "E3"},
+        {"experiment": "E4", "urn": [7, 5]},
+        {"experiment": "E4", "urn": [7, 5], "remove": 3},
+        {"experiment": "E4", "urn": [7, 5], "with_replacement": True},
+        {"experiment": "E5", "urn": [7, 5], "remove": 4},
+        {"experiment": "E6", "urn": [7, 5]},
+        {"experiment": "E5E6", "urn": [7, 5]},
+    ], ids=lambda cfg: "-".join(map(str, cfg.values())))
+    def test_every_series_regenerates_from_its_header(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.setattr("spcelab.coin_lab.BATCH_UNIFORMS", 24)  # three runs per pass
+        runs = 10
+        cfg_path = write_config(tmp_path, {**cfg, "n": 8, "runs": runs, "series_limit": runs,
+                                           "seed": 2**64 - 2})
+        out = tmp_path / "out"
+        assert main(["coins", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = [n for n in load_json(out / "manifest.json")["outputs"] if n.endswith(".jsonl")]
+        assert len(names) == (2 if cfg["experiment"] == "E5E6" else 1)
+        for name, row in zip(names, rows):
+            series = read_timeseries_jsonl(out / name)
+            assert len(series) == runs
+            for s in series:
+                assert (regenerate_series(s.meta).values == s.values).all()
+            counts = [int((s.values == 1).sum()) for s in series]
+            assert float(row["mean_count_b"]) == pytest.approx(sum(counts) / runs, rel=1e-12)
+
+    def test_streams_are_built_per_command_not_per_run(self, tmp_path, monkeypatch):
+        built = []
+        init = RngStream.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "__init__", counting_init)
+        cfg_path = write_config(tmp_path, {"experiment": "E4", "n": 20, "urn": [30, 30], "remove": 5,
+                                           "runs": 5000, "series_limit": 3, "seed": 4})
+        assert main(["coins", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert 1 <= len(built) <= 2
 
 
 class TestPurityCommand:
@@ -294,6 +341,17 @@ class TestQkdCommand:
     ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
                 "procedures": [{"kind": "thin", "parm": 0.5}]}, "parm"),
     ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10, "adversery": True}}, "adversery"),
+    ("coins", {"experiment": "E1", "n": 5, "urn": [3, 3]}, "urn"),
+    ("coins", {"experiment": "E2", "n": 5, "remove": 0}, "remove"),
+    ("coins", {"experiment": "E3", "n": 5, "with_replacement": True}, "with_replacement"),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [3, 3], "initial_face": "R"}, "initial_face"),
+    ("coins", {"experiment": "E5", "n": 5, "urn": [3, 3], "with_replacement": True},
+     "with_replacement"),
+    ("coins", {"experiment": "E6", "n": 5, "urn": [3, 3], "initial_face": "B"}, "initial_face"),
+    ("coins", {"experiment": "E5E6", "n": 5, "urn": [3, 3], "with_replacement": False},
+     "with_replacement"),
+    ("spce", {"axes": {"A": 0, "B": 45}, "epsilon": {"A": 0.1, "B": 0.2, "A_prime": 1.5}, "n": 10},
+     "A_prime"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 import oracles
+import spcelab.coin_lab
 from spcelab.coin_lab import (
     BoxKind,
     CoinFace,
     DeviceKind,
     TimeSeries,
     UrnState,
+    box_law,
+    device_law,
     draw_urn,
     read_timeseries_jsonl,
     regenerate_series,
     remove_coins,
     run_box_experiment,
     run_device,
-    urn_count_batch,
+    sample_runs,
+    urn_law,
     write_timeseries_jsonl,
 )
 from spcelab.errors import DomainError, FormatError
@@ -104,7 +108,7 @@ class TestDrawUrn:
             assert abs(observed - expected) < 4 * math.sqrt(max(expected * (1 - expected), 1e-9) / total)
 
     def test_count_pmf_matches_enumeration(self):
-        counts = urn_count_batch(UrnState(3, 3), 4, 100_000, False, master_seed=8)
+        counts, _ = sample_runs(urn_law(UrnState(3, 3), 4, False), 8, np.arange(100_000))
         pmf = oracles.urn_count_pmf_enumerated(3, 3, 4)
         for blues, prob in pmf.items():
             observed = float(np.mean(counts == blues))
@@ -114,13 +118,23 @@ class TestDrawUrn:
     def test_variance_structure(self):
         # dependent draws shrink the count variance far below the binomial value
         runs = 100_000
-        counts_dep = urn_count_batch(UrnState(51, 51), 100, runs, False, master_seed=17)
-        counts_iid = urn_count_batch(UrnState(51, 51), 100, runs, True, master_seed=18)
+        counts_dep, _ = sample_runs(urn_law(UrnState(51, 51), 100, False), 17, np.arange(runs))
+        counts_iid, _ = sample_runs(urn_law(UrnState(51, 51), 100, True), 18, np.arange(runs))
         mean_h, var_h = oracles.hypergeom_count_moments(51, 51, 100)
         assert abs(counts_dep.mean() - mean_h) < 0.05
         assert abs(counts_dep.var(ddof=1) - var_h) / var_h < 0.05
         assert abs(counts_iid.var(ddof=1) - 25.0) / 25.0 < 0.05
         assert abs(counts_iid.mean() - 50.0) < 0.1
+
+    def test_step_law_count_pmf_on_asymmetric_urn(self):
+        runs = 100_000
+        counts, _ = sample_runs(urn_law(UrnState(6, 3), 5, False), 9, np.arange(runs))
+        pmf = oracles.urn_count_pmf_enumerated(6, 3, 5)
+        assert set(np.unique(counts)) <= set(pmf)
+        for blues, prob in pmf.items():
+            observed = float(np.mean(counts == blues))
+            expected = float(prob)
+            assert abs(observed - expected) < 4 * oracles.binomial_sigma(expected, runs)
 
     def test_batch_matches_draw_urn_distributionally(self):
         # same urn, same n: batch counts and per-run counts share moments
@@ -129,7 +143,7 @@ class TestDrawUrn:
         for _ in range(4000):
             series, _ = draw_urn(UrnState(5, 5), 6, False, rng)
             per_run.append(int(np.sum(series.values == 1)))
-        batch = urn_count_batch(UrnState(5, 5), 6, 4000, False, master_seed=44, stream_id=1)
+        batch, _ = sample_runs(urn_law(UrnState(5, 5), 6, False), 44, np.arange(1, 4001))
         assert abs(np.mean(per_run) - batch.mean()) < 0.1
         assert abs(np.var(per_run, ddof=1) - batch.var(ddof=1)) < 0.1
 
@@ -198,9 +212,54 @@ class TestRemoveCoins:
         series = run_box_experiment(BoxKind.MIXED_E5, urn, 1000, substream(0, 1))
         assert series.fraction_b == 1.0
 
+    def test_blue_removed_matches_hypergeometric_pmf(self):
+        seeds = 20_000
+        removed = np.array([7 - remove_coins(UrnState(7, 5), 6, substream(seed, 0)).n_blue
+                            for seed in range(seeds)])
+        # the closed form against enumeration where enumeration is cheap
+        assert oracles.hypergeom_count_pmf(4, 3, 3) == oracles.urn_count_pmf_enumerated(4, 3, 3)
+        pmf = oracles.hypergeom_count_pmf(7, 5, 6)
+        assert set(np.unique(removed)) <= set(pmf)
+        for blues, prob in pmf.items():
+            observed = float(np.mean(removed == blues))
+            expected = float(prob)
+            assert abs(observed - expected) < 4 * oracles.binomial_sigma(expected, seeds)
+
     def test_overremoval_rejected(self):
         with pytest.raises(DomainError):
             remove_coins(UrnState(2, 2), 5, substream(0, 0))
+
+
+class TestSampleRuns:
+    LAWS = [
+        device_law(DeviceKind.D1_FLIP, CoinFace.R, 7),
+        device_law(DeviceKind.D2_ALTERNATING, CoinFace.B, 7),
+        device_law(DeviceKind.D3_BERNOULLI, CoinFace.B, 7),
+        urn_law(UrnState(4, 3), 7, False),
+        urn_law(UrnState(4, 3), 9, True),
+        box_law(BoxKind.MIXED_E5, UrnState(2, 5), 7),
+        box_law(BoxKind.PURE_E6, UrnState(2, 5), 7),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.generator_id)
+    def test_runs_match_scalar_streams_across_chunks(self, law, monkeypatch):
+        # 20 uniforms per pass hold two runs of 7 to 9 trials; 53 runs is not a multiple of two
+        monkeypatch.setattr(spcelab.coin_lab, "BATCH_UNIFORMS", 20)
+        ids = np.arange(100, 153, dtype=np.uint64)
+        counts, kept = sample_runs(law, 2**64 - 1, ids, keep=45)
+        assert len(counts) == 53 and len(kept) == 45
+        for i, sid in enumerate(ids):
+            series = law.series(substream(2**64 - 1, int(sid)))
+            assert counts[i] == int(np.sum(series.values == 1))
+            if i < len(kept):
+                np.testing.assert_array_equal(kept[i].values, series.values)
+                assert kept[i].meta == series.meta
+
+    def test_kept_series_regenerate(self):
+        _, kept = sample_runs(urn_law(UrnState(5, 4), 8, False), 3, [7, 8, 9], keep=5)
+        assert [s.meta["stream_id"] for s in kept] == [7, 8, 9]
+        for series in kept:
+            np.testing.assert_array_equal(regenerate_series(series.meta).values, series.values)
 
 
 class TestSeriesRoundTrip:

@@ -12,6 +12,7 @@ from spcelab.randkit import (
     angle_between,
     hypergeometric_step_prob,
     sample_cap,
+    stream_uniforms,
     substream,
     uniform_direction,
 )
@@ -54,6 +55,44 @@ class TestStreams:
             substream(0, 2**64)
         with pytest.raises(DomainError):
             substream(1.5, 0)
+
+
+class TestStreamUniforms:
+    """The batched Philox4x64-10 kernel against numpy's Philox, through RngStream."""
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 41, 1000])
+    def test_rows_match_substreams(self, count):
+        ids = np.arange(2048)
+        rows = stream_uniforms(2**64 - 5, ids, count)
+        assert rows.shape == (2048, count) and rows.dtype == np.float64
+        for sid in ids:
+            np.testing.assert_array_equal(rows[sid], substream(2**64 - 5, int(sid)).random(count))
+
+    def test_extreme_keys(self):
+        top = 2**64 - 1
+        ids = np.array([top, top - 1, 2**63, 0], dtype=np.uint64)
+        for seed in (0, top):
+            rows = stream_uniforms(seed, ids, 9)
+            for row, sid in zip(rows, ids):
+                np.testing.assert_array_equal(row, substream(seed, int(sid)).random(9))
+
+    def test_empty_shapes(self):
+        assert stream_uniforms(1, np.arange(3), 0).shape == (3, 0)
+        assert stream_uniforms(1, np.arange(0), 5).shape == (0, 5)
+
+    def test_key_and_count_validation(self):
+        with pytest.raises(DomainError):
+            stream_uniforms(-1, [0], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms(0, [-1], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms(0, [0.5], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms(0, [2**64], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms(0, [[0]], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms(0, [0], -1)
 
 
 class TestDirection:
