@@ -61,7 +61,6 @@ from .spce import (
     BoundCheck,
     ExperimentRun,
     LambdaModel,
-    PairRecord,
     Polarizer,
     SharedLambdaRun,
     ch_factorized_probability,
@@ -71,9 +70,9 @@ from .spce import (
     factorized_correlator,
     independent_bound_check,
     passage_probability,
+    record_directions,
     run_experiment,
     run_shared_lambda_model,
-    sample_pair,
     singlet_joint_probs,
     write_run_jsonl,
 )
@@ -85,7 +84,6 @@ from .purity import (
     Verdict,
     chi2_homogeneity,
     holm_adjust,
-    ks_two_sample,
     purity_verdict,
     random_subensemble,
     reduce_intensity,

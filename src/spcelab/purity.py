@@ -252,31 +252,6 @@ def chi2_homogeneity(samples, alpha) -> TestReport:
     return TestReport("chi2_homogeneity", statistic, p_value, alpha)
 
 
-def ks_two_sample(x, y, alpha) -> TestReport:
-    """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
-
-    Intended for real-valued derived statistics (inter-event gaps, run
-    lengths, block means), not raw +/-1 outcomes, whose two-point support
-    makes the KS distance degenerate.  Both samples must hold at least 20
-    observations for the asymptotic regime.
-    """
-    xv = np.sort(np.asarray(_series_values(x), dtype=float))
-    yv = np.sort(np.asarray(_series_values(y), dtype=float))
-    n, m = len(xv), len(yv)
-    if n < 20 or m < 20:
-        raise DomainError(f"KS test needs both samples >= 20, got sizes {n} and {m}")
-    pooled = np.concatenate([xv, yv])
-    cdf_x = np.searchsorted(xv, pooled, side="right") / n
-    cdf_y = np.searchsorted(yv, pooled, side="right") / m
-    statistic = float(np.max(np.abs(cdf_x - cdf_y)))
-    from scipy.stats import kstwo  # imported here so no command pays for scipy at start-up
-
-    # one-sample KS tail at the effective size, the standard two-sample asymptotic
-    effective = round(n * m / (n + m))
-    p_value = float(kstwo.sf(statistic, effective))
-    return TestReport("ks_two_sample", statistic, min(p_value, 1.0), alpha)
-
-
 def runs_test(series, alpha) -> TestReport:
     """Wald-Wolfowitz runs test of randomness for a binary series.
 

@@ -61,8 +61,8 @@ def generate_keys(axis: Direction, n: int, eps_a: float, eps_b: float, master_se
         master_seed,
         stream_id,
     )
-    alice = ((run.s1.astype(np.int16) + 1) // 2).astype(np.uint8)
-    bob = ((1 - run.s2.astype(np.int16)) // 2).astype(np.uint8)
+    alice = run.s1 > 0
+    bob = run.s2 < 0
     meta = {
         "axis": list(axis.as_array()),
         "eps_a": eps_a,

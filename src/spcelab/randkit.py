@@ -198,11 +198,6 @@ class CapSpec:
             raise DomainError(f"cap epsilon must lie in [0, 2], got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)
 
-    def contains(self, direction) -> bool:
-        """Membership predicate ``|1 - a.axis| <= epsilon`` (tolerance-free)."""
-        a = direction.as_array() if isinstance(direction, Direction) else np.asarray(direction)
-        return bool(abs(1.0 - float(a @ self.axis.as_array())) <= self.epsilon)
-
 
 def _orthonormal_frame(axis: np.ndarray):
     """Two unit vectors completing ``axis`` to a right-handed frame."""
@@ -213,24 +208,35 @@ def _orthonormal_frame(axis: np.ndarray):
     return e1, e2
 
 
-def _cap_from_uniforms(cap: CapSpec, u, v):
-    """Map uniforms ``(u, v)`` on [0,1)^2 to cap directions.
-
-    The cosine with the axis is ``1 - epsilon * u`` (uniform on
-    ``[1 - epsilon, 1]``) and the azimuth about the axis is ``2 pi v``:
-    the uniform distribution on the cap.  Scalar inputs give a 3-vector,
-    arrays of shape (n,) give an (n, 3) array.
-    """
+def _cap_frame(cap: CapSpec) -> np.ndarray:
+    """The rows ``e1, e2, axis``: the right-handed frame cap coordinates refer to."""
     axis = cap.axis.as_array()
-    e1, e2 = _orthonormal_frame(axis)
+    return np.stack([*_orthonormal_frame(axis), axis])
+
+
+def _cap_coefficients(cap: CapSpec, u, v):
+    """Map uniforms ``(u, v)`` on [0,1)^2 to cap directions in the cap's frame.
+
+    The cosine with the axis is ``c = 1 - epsilon * u`` (uniform on
+    ``[1 - epsilon, 1]``) and the azimuth about the axis is ``phi = 2 pi v``:
+    the uniform distribution on the cap.  Returns the coordinates
+    ``(s cos phi, s sin phi, c)`` along the rows of :func:`_cap_frame`, with
+    ``s = sqrt(1 - c^2)``.
+    """
     c = 1.0 - cap.epsilon * np.asarray(u, dtype=float)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     phi = 2.0 * math.pi * np.asarray(v, dtype=float)
-    return (
-        np.multiply.outer(s * np.cos(phi), e1)
-        + np.multiply.outer(s * np.sin(phi), e2)
-        + np.multiply.outer(c, axis)
-    )
+    return s * np.cos(phi), s * np.sin(phi), c
+
+
+def _cap_from_uniforms(cap: CapSpec, u, v):
+    """Map uniforms ``(u, v)`` on [0,1)^2 to cap directions (see :func:`_cap_coefficients`).
+
+    Scalar inputs give a 3-vector, arrays of shape (n,) give an (n, 3) array.
+    """
+    x, y, c = _cap_coefficients(cap, u, v)
+    e1, e2, axis = _cap_frame(cap)
+    return np.multiply.outer(x, e1) + np.multiply.outer(y, e2) + np.multiply.outer(c, axis)
 
 
 def sample_cap(cap: CapSpec, rng: RngStream, size=None):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .randkit import (
     CapSpec,
     Direction,
     RngStream,
+    _cap_coefficients,
+    _cap_frame,
     _cap_from_uniforms,
     angle_between,
     substream,
@@ -57,37 +59,20 @@ class Polarizer:
         return self.cap.epsilon
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One detected pair: microscopic settings and the two +/-1 outcomes."""
-
-    a: Direction
-    b: Direction
-    s1: int
-    s2: int
-
-    def __post_init__(self):
-        if self.s1 not in (1, -1) or self.s2 not in (1, -1):
-            raise DomainError(f"outcomes must be +1 or -1, got ({self.s1}, {self.s2})")
-
-
 @dataclass
 class ExperimentRun:
-    """N pairs sampled under fixed polarizers; stored column-wise.
+    """N pairs sampled under fixed polarizers: the +/-1 outcome arrays and the stream key.
 
-    ``a`` and ``b`` are (N, 3) arrays of microscopic directions, ``s1`` and
-    ``s2`` the +/-1 outcome arrays.  Individual :class:`PairRecord` views are
-    available through indexing or the ``records`` property (intended for
-    small runs; large runs are consumed as arrays).
+    The microscopic directions are not kept; :func:`record_directions`
+    rebuilds those of any leading pairs from ``(master_seed, stream_id)``.
     """
 
     pol_a: Polarizer
     pol_b: Polarizer
-    a: np.ndarray
-    b: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
-    meta: dict = field(default_factory=dict)
+    master_seed: int | None = None
+    stream_id: int = 0
 
     def __post_init__(self):
         if len(self.s1) < 1:
@@ -95,18 +80,6 @@ class ExperimentRun:
 
     def __len__(self):
         return int(self.s1.size)
-
-    def __getitem__(self, i) -> PairRecord:
-        return PairRecord(
-            Direction.from_array(self.a[i]),
-            Direction.from_array(self.b[i]),
-            int(self.s1[i]),
-            int(self.s2[i]),
-        )
-
-    @property
-    def records(self):
-        return [self[i] for i in range(len(self))]
 
 
 @dataclass
@@ -135,55 +108,85 @@ def singlet_joint_probs(a, b) -> np.ndarray:
     return np.array([p_same, p_diff, p_diff, p_same])
 
 
-def _outcomes_from_uniform(cos_ab, u):
-    """Map one uniform to the singlet outcome pair given cos(theta_ab).
+#: Pairs per block of the pair kernel: a (2^16, 5) block of uniforms is 2.5 MiB.
+PAIR_CHUNK = 1 << 16
+
+
+def _pair_blocks(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream_id, width):
+    """Yield ``(start, uniforms, cos_ab)`` for ``n`` pairs, at most :data:`PAIR_CHUNK` at a time.
+
+    Pair ``i`` consumes the ``width`` uniforms at positions ``width i ..`` of
+    the keyed stream; the first four are (cap A cosine, cap A azimuth, cap B
+    cosine, cap B azimuth).  No direction is built: with ``alpha`` and
+    ``beta`` the caps' coordinates in their frames ``F_A`` and ``F_B`` (see
+    ``randkit._cap_coefficients``), ``cos(theta_ab) = alpha . (F_A F_B^T) beta``.
+    """
+    rng = substream(master_seed, stream_id)
+    gram = _cap_frame(pol_a.cap) @ _cap_frame(pol_b.cap).T
+    for start in range(0, n, PAIR_CHUNK):
+        u = rng.random((min(PAIR_CHUNK, n - start), width))
+        xa, ya, za = _cap_coefficients(pol_a.cap, u[:, 0], u[:, 1])
+        beta = _cap_coefficients(pol_b.cap, u[:, 2], u[:, 3])
+        # column j of the Gram matrix gives the j-th coordinate of alpha F_A F_B^T
+        cos_ab = sum((xa * g[0] + ya * g[1] + za * g[2]) * b for g, b in zip(gram.T, beta))
+        yield start, u, cos_ab
+
+
+def _outcomes_from_uniform(cos_ab, u, s1, s2):
+    """Write the singlet outcome pairs for ``cos(theta_ab)`` and one uniform each into ``s1``, ``s2``.
 
     The cumulative layout puts both ``s1 = +1`` cells first, so ``u < 1/2``
-    decides ``s1`` and the two tail regions decide whether ``s2`` matches.
-    Works elementwise on scalars or arrays.
+    decides ``s1``, and ``s2`` matches ``s1`` exactly when ``u`` falls in one
+    of the two tails of mass ``sin^2(theta/2) / 2``.  A ``cos_ab`` rounded
+    past +/-1 gives the same outcomes as the clipped value: both tails stay
+    empty above 1 and cover [0, 1) below -1.
     """
-    half_same = 0.25 * (1.0 - np.asarray(cos_ab, dtype=float))  # sin^2(theta/2) / 2
-    u = np.asarray(u, dtype=float)
-    s1 = np.where(u < 0.5, 1, -1).astype(np.int8)
+    half_same = 0.25 * (1.0 - cos_ab)
+    minus = u >= 0.5
     same = (u < half_same) | (u >= 1.0 - half_same)
-    s2 = np.where(same, s1, -s1).astype(np.int8)
-    return s1, s2
-
-
-def sample_pair(pol_a: Polarizer, pol_b: Polarizer, rng: RngStream) -> PairRecord:
-    """Draw one pair: microscopic settings from each cap, outcomes from the singlet table.
-
-    Consumes exactly five uniforms in the order (cap A cosine, cap A azimuth,
-    cap B cosine, cap B azimuth, outcome), the same layout a batched
-    :func:`run_experiment` row consumes.  The marginal of each outcome alone
-    is uniform on +/-1.
-    """
-    u = rng.random(5)
-    a = _cap_from_uniforms(pol_a.cap, u[0], u[1])
-    b = _cap_from_uniforms(pol_b.cap, u[2], u[3])
-    cos_ab = float(np.clip(a @ b, -1.0, 1.0))
-    s1, s2 = _outcomes_from_uniform(cos_ab, u[4])
-    return PairRecord(Direction.from_array(a), Direction.from_array(b), int(s1), int(s2))
+    # outcome = 1 - 2 * flag, in int8 without a wider temporary
+    np.subtract(1, 2 * minus.view(np.int8), out=s1)
+    np.subtract(1, 2 * (minus == same).view(np.int8), out=s2)
 
 
 def run_experiment(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream_id=0) -> ExperimentRun:
     """Sample ``n`` independent pairs under fixed polarizers.
 
     Bit-reproducible from ``(master_seed, stream_id)``: pair ``i`` consumes
-    the five uniforms at positions ``5 i .. 5 i + 4`` of the keyed stream,
-    identical to ``n`` sequential :func:`sample_pair` calls on the same
-    substream.
+    the five uniforms at positions ``5 i .. 5 i + 4`` of the keyed stream, in
+    the order (cap A cosine, cap A azimuth, cap B cosine, cap B azimuth,
+    outcome).  The outcome depends on the two microscopic directions only
+    through ``cos(theta_ab)``, so only the int8 outcomes are kept and memory
+    grows by 2 bytes per pair.
     """
     if n < 1:
         raise DomainError(f"pair count must be >= 1, got {n}")
-    rng = substream(master_seed, stream_id)
-    u = rng.random((int(n), 5))
-    a = _cap_from_uniforms(pol_a.cap, u[:, 0], u[:, 1])
-    b = _cap_from_uniforms(pol_b.cap, u[:, 2], u[:, 3])
-    cos_ab = np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
-    s1, s2 = _outcomes_from_uniform(cos_ab, u[:, 4])
-    meta = {"master_seed": int(master_seed), "stream_id": int(stream_id), "n": int(n)}
-    return ExperimentRun(pol_a, pol_b, a, b, s1, s2, meta)
+    n = int(n)
+    s1 = np.empty(n, dtype=np.int8)
+    s2 = np.empty(n, dtype=np.int8)
+    for start, u, cos_ab in _pair_blocks(pol_a, pol_b, n, master_seed, stream_id, 5):
+        stop = start + len(u)
+        _outcomes_from_uniform(cos_ab, u[:, 4], s1[start:stop], s2[start:stop])
+    return ExperimentRun(pol_a, pol_b, s1, s2, int(master_seed), int(stream_id))
+
+
+def record_directions(run: ExperimentRun, count=None):
+    """Yield the microscopic directions ``(a, b)`` of the first ``count`` pairs of a run.
+
+    Rebuilt from the run's stream exactly as :func:`run_experiment` drew
+    them, in blocks of two ``(m, 3)`` arrays of at most :data:`PAIR_CHUNK`
+    rows; ``count`` defaults to the whole run.
+    """
+    count = len(run) if count is None else min(len(run), int(count))
+    if count == 0:
+        return
+    if run.master_seed is None:
+        raise DomainError("a run without a stream key cannot rebuild its directions")
+    rng = substream(run.master_seed, run.stream_id)
+    for start in range(0, count, PAIR_CHUNK):
+        u = rng.random((min(PAIR_CHUNK, count - start), 5))
+        yield (_cap_from_uniforms(run.pol_a.cap, u[:, 0], u[:, 1]),
+               _cap_from_uniforms(run.pol_b.cap, u[:, 2], u[:, 3]))
 
 
 def empirical_correlator(run: ExperimentRun) -> float:
@@ -215,12 +218,10 @@ def passage_probability(pol_a: Polarizer, pol_b: Polarizer, method="quadrature",
     ``nodes`` points per coordinate).
     """
     if method == "monte_carlo":
-        rng = substream(master_seed, stream_id)
-        u = rng.random((int(n), 4))
-        a = _cap_from_uniforms(pol_a.cap, u[:, 0], u[:, 1])
-        b = _cap_from_uniforms(pol_b.cap, u[:, 2], u[:, 3])
-        cos_ab = np.einsum("ij,ij->i", a, b)
-        return float(np.mean(0.25 * (1.0 - cos_ab)))
+        if n < 1:
+            raise DomainError(f"pair count must be >= 1, got {n}")
+        blocks = _pair_blocks(pol_a, pol_b, int(n), master_seed, stream_id, 4)
+        return math.fsum(float(np.sum(0.25 * (1.0 - cos_ab))) for _, _, cos_ab in blocks) / int(n)
     if method == "quadrature":
         pts_a, w_a = _cap_quadrature(pol_a.cap, nodes)
         pts_b, w_b = _cap_quadrature(pol_b.cap, nodes)
@@ -400,18 +401,17 @@ def run_to_jsonl_lines(run: ExperimentRun, record_limit=None):
         "epsilons": {"A": run.pol_a.epsilon, "B": run.pol_b.epsilon},
         "N": len(run),
         "records_serialized": count,
-        "seed": run.meta.get("master_seed"),
-        "stream_id": run.meta.get("stream_id"),
+        "seed": run.master_seed,
+        "stream_id": run.stream_id,
     }
     yield json.dumps(header, sort_keys=True)
-    for i in range(count):
-        record = {
-            "a": [float(x) for x in run.a[i]],
-            "b": [float(x) for x in run.b[i]],
-            "s1": int(run.s1[i]),
-            "s2": int(run.s2[i]),
-        }
-        yield json.dumps(record, sort_keys=True)
+    start = 0
+    for a, b in record_directions(run, count):
+        stop = start + len(a)
+        # row by row: a whole block of Python floats would outweigh the block itself
+        for a_i, b_i, s1, s2 in zip(a, b, run.s1[start:stop].tolist(), run.s2[start:stop].tolist()):
+            yield json.dumps({"a": a_i.tolist(), "b": b_i.tolist(), "s1": s1, "s2": s2}, sort_keys=True)
+        start = stop
 
 
 def write_run_jsonl(runs, path, record_limit=None):

@@ -2,14 +2,22 @@
 
 Everything here is computed from first principles: brute-force enumeration,
 midpoint quadrature on explicit grids, or closed-form moments rederived in
-place.  Nothing imports the sampling code paths under test.
+place.  Nothing imports the sampling code paths under test; the pair twins
+below draw from a stream and map uniforms to cap directions with
+``randkit._cap_from_uniforms``, whose geometry ``test_randkit`` checks on its
+own, and build everything else here.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from spcelab.errors import DomainError
+from spcelab.purity import TestReport
+from spcelab.randkit import _cap_from_uniforms, substream
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +83,57 @@ def passage_prob(eps_a, eps_b, cos_ab):
 def contextual_correlator(eps_a, eps_b, cos_ab):
     """Expected empirical correlator of the cap model (equals E[a . b])."""
     return pair_mean_dot(eps_a, eps_b, cos_ab)
+
+
+def cap_contains(cap, direction):
+    """Cap membership ``|1 - a . axis| <= epsilon`` of one direction (tolerance-free)."""
+    return bool(abs(1.0 - float(np.asarray(direction) @ cap.axis.as_array())) <= cap.epsilon)
+
+
+# ---------------------------------------------------------------------------
+# pair sampling with materialized directions: the scalar and the one-draw twin
+# of the chunked pair kernel in spce
+
+@dataclass(frozen=True)
+class PairRecord:
+    """One detected pair: microscopic settings (3-vectors) and the two +/-1 outcomes."""
+
+    a: np.ndarray
+    b: np.ndarray
+    s1: int
+    s2: int
+
+
+def singlet_outcomes(cos_ab, u):
+    """Singlet outcome pairs from cos(theta_ab) and one uniform each.
+
+    Cells in the order (++, +-, -+, --): ``s1 = +1`` iff ``u < 1/2``, and
+    ``s2 = s1`` iff ``u`` lies in one of the two tails of mass
+    ``sin^2(theta/2) / 2``.
+    """
+    half_same = 0.25 * (1.0 - np.clip(cos_ab, -1.0, 1.0))
+    u = np.asarray(u, dtype=float)
+    s1 = np.where(u < 0.5, 1, -1).astype(np.int8)
+    same = (u < half_same) | (u >= 1.0 - half_same)
+    return s1, np.where(same, s1, -s1).astype(np.int8)
+
+
+def sample_pair(pol_a, pol_b, rng):
+    """Draw one pair from five uniforms (cap A cosine, azimuth, cap B cosine, azimuth, outcome)."""
+    u = rng.random(5)
+    a = _cap_from_uniforms(pol_a.cap, u[0], u[1])
+    b = _cap_from_uniforms(pol_b.cap, u[2], u[3])
+    s1, s2 = singlet_outcomes(float(a @ b), u[4])
+    return PairRecord(a, b, int(s1), int(s2))
+
+
+def materialized_run(pol_a, pol_b, n, master_seed, stream_id=0):
+    """``(a, b, s1, s2)`` of ``n`` pairs from one ``(n, 5)`` draw, directions built in full."""
+    u = substream(master_seed, stream_id).random((int(n), 5))
+    a = _cap_from_uniforms(pol_a.cap, u[:, 0], u[:, 1])
+    b = _cap_from_uniforms(pol_b.cap, u[:, 2], u[:, 3])
+    s1, s2 = singlet_outcomes(np.einsum("ij,ij->i", a, b), u[:, 4])
+    return a, b, s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +293,26 @@ def chord_center_distance(machine, geometry):
         mid = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
         return np.linalg.norm(mid, axis=-1)
     raise ValueError(f"unknown machine {machine!r}")
+
+
+def ks_two_sample(x, y, alpha):
+    """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
+
+    For real-valued statistics (for example batch hit fractions); both
+    samples must hold at least 20 observations for the asymptotic regime.
+    """
+    from scipy.stats import kstwo
+
+    xv = np.sort(np.asarray(x, dtype=float))
+    yv = np.sort(np.asarray(y, dtype=float))
+    n, m = len(xv), len(yv)
+    if n < 20 or m < 20:
+        raise DomainError(f"KS test needs both samples >= 20, got sizes {n} and {m}")
+    pooled = np.concatenate([xv, yv])
+    cdf_x = np.searchsorted(xv, pooled, side="right") / n
+    cdf_y = np.searchsorted(yv, pooled, side="right") / m
+    statistic = float(np.max(np.abs(cdf_x - cdf_y)))
+    # one-sample KS tail at the effective size, the standard two-sample asymptotic
+    effective = round(n * m / (n + m))
+    p_value = float(kstwo.sf(statistic, effective))
+    return TestReport("ks_two_sample", statistic, min(p_value, 1.0), alpha)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from spcelab import bertrand
 from spcelab.bertrand import (
     INNER_RADIUS,
+    TRIAL_CHUNK,
     Machine,
+    _batch_degenerate,
+    _batch_hits,
     chord_hits_m1,
     chord_hits_m2,
     chord_hits_m3,
@@ -17,7 +21,6 @@ from spcelab.bertrand import (
     run_trial,
 )
 from spcelab.errors import DomainError
-from spcelab.purity import ks_two_sample
 from spcelab.randkit import substream
 
 EXPECTED = {Machine.M1: 0.5, Machine.M2: 1.0 / 3.0, Machine.M3: 0.25}
@@ -108,6 +111,56 @@ class TestEstimates:
         assert a == b
 
 
+def one_draw_p_hat(machine, n, rng):
+    """Hit fraction of ``n`` trials drawn as one (n, 2) block, degenerate rows re-drawn in place."""
+    u = rng.random((n, 2))
+    degenerate = _batch_degenerate(machine, u)
+    while np.any(degenerate):
+        u[degenerate] = rng.random((int(np.sum(degenerate)), 2))
+        degenerate = _batch_degenerate(machine, u)
+    return float(np.mean(_batch_hits(machine, u)))
+
+
+class ScriptedStream:
+    """A stream that serves a fixed sequence of uniforms and counts what it served."""
+
+    def __init__(self, values):
+        self.values = values
+        self.position = 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.position:self.position + count].reshape(size)
+        self.position += count
+        return out.copy()
+
+
+class TestBlockedEstimate:
+    @pytest.mark.parametrize("n", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 3 * TRIAL_CHUNK + 7])
+    @pytest.mark.parametrize("machine", list(Machine))
+    def test_blocks_match_one_draw(self, machine, n):
+        est = estimate_probability(machine, n, master_seed=2**64 - 1, stream_id=9)
+        assert est.p_hat == one_draw_p_hat(machine, n, substream(2**64 - 1, 9))
+
+    @pytest.mark.parametrize("machine", [Machine.M2, Machine.M3])
+    def test_degenerate_trials_consume_the_stream_as_one_draw(self, machine, monkeypatch):
+        n = 23
+        values = substream(5, 0).random(400)
+        # degenerate trials in the first, middle and last block, and among the re-draws
+        for trial in (0, 4, 5, 11, 22, 23, 24, 26):
+            if machine is Machine.M2:
+                values[2 * trial + 1] = values[2 * trial]
+            else:
+                values[2 * trial] = 0.0
+        blocked = ScriptedStream(values)
+        monkeypatch.setattr(bertrand, "TRIAL_CHUNK", 5)
+        monkeypatch.setattr(bertrand, "substream", lambda seed, stream_id: blocked)
+        est = estimate_probability(machine, n, master_seed=0)
+        one_draw = ScriptedStream(values)
+        assert est.p_hat == one_draw_p_hat(machine, n, one_draw)
+        assert blocked.position == one_draw.position > 2 * n + 2 * 5
+
+
 def rotated_batch_p_hats(machine, delta, seed, batches, n):
     """Hit fractions computed through the geometric oracle on rotated geometry."""
     p_hats = []
@@ -136,6 +189,6 @@ class TestRotationalInvariance:
                 for i in range(batches)
             ])
             rotated = rotated_batch_p_hats(machine, 0.7, seed, batches, n)
-            if not ks_two_sample(plain, rotated, 0.05).reject:
+            if not oracles.ks_two_sample(plain, rotated, 0.05).reject:
                 non_rejections += 1
         assert non_rejections >= 17  # ~95% of 20 seeds

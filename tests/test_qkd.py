@@ -15,6 +15,7 @@ from spcelab.qkd import (
     mismatch_rate,
 )
 from spcelab.randkit import Direction
+from spcelab.spce import PAIR_CHUNK, Polarizer
 
 AXIS = Direction.from_plane_angle(20.0)
 STANDARD = tuple(Direction.from_plane_angle(d) for d in (0.0, 90.0, 45.0, 135.0))
@@ -50,6 +51,15 @@ class TestGenerateKeys:
             assert runs_test(pm, 0.01).p_value > 0.01
             frac = float(np.mean(bits))
             assert abs(frac - 0.5) < 2.576 * oracles.binomial_sigma(0.5, len(bits))
+
+    def test_bits_are_the_outcome_signs(self):
+        # Alice's bit is (s1 + 1) / 2, Bob's (1 - s2) / 2, over several kernel blocks
+        n = 3 * PAIR_CHUNK + 7
+        keys = generate_keys(AXIS, n, 0.3, 0.1, master_seed=8, stream_id=2)
+        _, _, s1, s2 = oracles.materialized_run(Polarizer.from_axis(AXIS, 0.3),
+                                                Polarizer.from_axis(AXIS, 0.1), n, 8, 2)
+        np.testing.assert_array_equal(keys.alice, (s1 + 1) // 2)
+        np.testing.assert_array_equal(keys.bob, (1 - s2) // 2)
 
     def test_deterministic(self):
         a = generate_keys(AXIS, 500, 0.3, 0.1, master_seed=6)

@@ -1,14 +1,20 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import spcelab
 from spcelab.errors import DomainError
-from spcelab.randkit import CapSpec, Direction, substream
+from spcelab.randkit import CapSpec, Direction, _cap_from_uniforms, substream
 from spcelab.spce import (
+    PAIR_CHUNK,
     ExperimentRun,
     LambdaModel,
     Polarizer,
@@ -19,10 +25,10 @@ from spcelab.spce import (
     factorized_correlator,
     independent_bound_check,
     passage_probability,
+    record_directions,
     run_experiment,
     run_shared_lambda_model,
     run_to_jsonl_lines,
-    sample_pair,
     singlet_joint_probs,
 )
 
@@ -32,6 +38,12 @@ STANDARD_ANGLES = (0.0, 90.0, 45.0, 135.0)  # A, A', B, B'
 
 def pol(degrees, eps=0.0):
     return Polarizer.from_axis(Direction.from_plane_angle(degrees), eps)
+
+
+def directions(run, count=None):
+    """The rebuilt microscopic directions of a run's first ``count`` pairs, as two arrays."""
+    blocks = list(record_directions(run, count))
+    return np.concatenate([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
 def random_rotation(gen):
@@ -75,11 +87,9 @@ class TestSingletJointProbs:
 
 class TestSamplePair:
     def test_zero_smear_aligned_forces_anticorrelation(self):
-        rng = substream(10, 0)
         p = pol(25.0, 0.0)
-        for _ in range(300):
-            record = sample_pair(p, p, rng)
-            assert record.s2 == -record.s1
+        run = run_experiment(p, p, 300, master_seed=10)
+        np.testing.assert_array_equal(run.s2, -run.s1)
 
     def test_marginal_is_uniform(self):
         run = run_experiment(pol(0.0), pol(77.0), 100_000, master_seed=3)
@@ -97,11 +107,10 @@ class TestSamplePair:
     def test_samples_live_in_their_caps(self):
         cap_a = CapSpec(Direction.from_plane_angle(20.0), 0.3)
         cap_b = CapSpec(Direction.from_plane_angle(65.0), 0.7)
-        rng = substream(4, 0)
-        for _ in range(200):
-            record = sample_pair(Polarizer(cap_a), Polarizer(cap_b), rng)
-            assert cap_a.contains(record.a)
-            assert cap_b.contains(record.b)
+        a, b = directions(run_experiment(Polarizer(cap_a), Polarizer(cap_b), 200, master_seed=4))
+        for a_i, b_i in zip(a, b):
+            assert oracles.cap_contains(cap_a, a_i)
+            assert oracles.cap_contains(cap_b, b_i)
 
 
 class TestRunExperiment:
@@ -112,16 +121,17 @@ class TestRunExperiment:
         a = run_experiment(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2)
         b = run_experiment(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2)
         np.testing.assert_array_equal(a.s1, b.s1)
-        np.testing.assert_array_equal(a.a, b.a)
+        np.testing.assert_array_equal(directions(a)[0], directions(b)[0])
 
     def test_matches_sequential_sample_pair(self):
         p_a, p_b = pol(0.0, 0.4), pol(30.0, 0.2)
         run = run_experiment(p_a, p_b, 5, master_seed=8, stream_id=3)
+        run_a, _ = directions(run)
         rng = substream(8, 3)
         for i in range(5):
-            record = sample_pair(p_a, p_b, rng)
+            record = oracles.sample_pair(p_a, p_b, rng)
             assert (record.s1, record.s2) == (int(run.s1[i]), int(run.s2[i]))
-            np.testing.assert_allclose(record.a.as_array(), run.a[i], atol=0)
+            np.testing.assert_allclose(record.a, run_a[i], atol=0)
 
     def test_two_seeds_agree_on_the_correlator(self):
         expected = math.cos(math.radians(60.0))
@@ -135,10 +145,92 @@ class TestRunExperiment:
             run_experiment(pol(0.0), pol(0.0), 0, master_seed=0)
 
 
+#: Pair counts around the kernel's block boundaries.
+BLOCK_EDGES = (1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 3 * PAIR_CHUNK + 7)
+
+#: Polarizer pairs for the kernel checks: sharp, smeared, full sphere, aligned, antiparallel, 3-D axes.
+KERNEL_POLARIZERS = (
+    (pol(0.0), pol(45.0)),
+    (pol(20.0, 0.1), pol(20.0, 0.1)),
+    (pol(0.0, 0.3), pol(180.0, 2.0)),
+    (Polarizer.from_axis(Direction.normalized(1.0, 2.0, -0.5), 0.7),
+     Polarizer.from_axis(Direction.normalized(-0.3, 0.1, 0.9), 1.3)),
+)
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_outcomes_match_materialized_directions(self, n):
+        for k, (p_a, p_b) in enumerate(KERNEL_POLARIZERS):
+            run = run_experiment(p_a, p_b, n, master_seed=2**64 - 1 - k, stream_id=k)
+            _, _, s1, s2 = oracles.materialized_run(p_a, p_b, n, 2**64 - 1 - k, k)
+            assert run.s1.dtype == run.s2.dtype == np.int8
+            np.testing.assert_array_equal(run.s1, s1)
+            np.testing.assert_array_equal(run.s2, s2)
+
+    def test_record_directions_are_the_streams_cap_points(self):
+        p_a, p_b = KERNEL_POLARIZERS[3]
+        n = 2 * PAIR_CHUNK + 3
+        run = run_experiment(p_a, p_b, n, master_seed=31, stream_id=5)
+        u = substream(31, 5).random((n, 5))
+        for count in (0, 1, PAIR_CHUNK, PAIR_CHUNK + 1, n, n + 10):
+            blocks = list(record_directions(run, count))
+            assert all(len(a) <= PAIR_CHUNK for a, _ in blocks)
+            if min(count, n) == 0:
+                assert blocks == []
+                continue
+            a, b = directions(run, count)
+            rows = min(count, n)
+            np.testing.assert_allclose(a, _cap_from_uniforms(p_a.cap, u[:rows, 0], u[:rows, 1]), atol=0)
+            np.testing.assert_allclose(b, _cap_from_uniforms(p_b.cap, u[:rows, 2], u[:rows, 3]), atol=0)
+
+    def test_serialized_records_carry_the_rebuilt_directions(self):
+        p_a, p_b = KERNEL_POLARIZERS[2]
+        n = PAIR_CHUNK + 2
+        run = run_experiment(p_a, p_b, n, master_seed=3, stream_id=1)
+        a, b, s1, s2 = oracles.materialized_run(p_a, p_b, n, 3, 1)
+        lines = list(run_to_jsonl_lines(run, record_limit=n - 1))
+        assert json.loads(lines[0])["records_serialized"] == n - 1
+        records = [json.loads(line) for line in lines[1:]]
+        assert len(records) == n - 1
+        np.testing.assert_allclose([r["a"] for r in records], a[:n - 1], atol=0)
+        np.testing.assert_allclose([r["b"] for r in records], b[:n - 1], atol=0)
+        assert [r["s1"] for r in records] == s1[:n - 1].tolist()
+        assert [r["s2"] for r in records] == s2[:n - 1].tolist()
+
+    def test_run_without_stream_key_cannot_rebuild_directions(self):
+        s1 = np.array([1, -1], dtype=np.int8)
+        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1)
+        assert list(record_directions(run, 0)) == []
+        with pytest.raises(DomainError):
+            list(record_directions(run))
+
+    def test_spce_memory_does_not_grow_with_n(self, tmp_path):
+        # 2e6 pairs per setting pair: materialized directions would take several hundred MB
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for the peak resident set")
+        cfg = tmp_path / "spce.json"
+        cfg.write_text(json.dumps({"axes": {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135},
+                                   "epsilon": 0.1, "n": 2_000_000, "seed": 1, "record_limit": 1000}))
+        script = (
+            "from spcelab.cli import main\n"
+            f"code = main(['spce', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
+            "print(code, int(status) // 1024)\n"
+        )
+        src = Path(spcelab.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        code, peak_mb = map(int, result.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert peak_mb < 120
+
+
 class TestEmpiricalCorrelator:
     def test_anticorrelated_run_gives_plus_one(self):
         s1 = np.array([1, -1, 1, 1], dtype=np.int8)
-        run = ExperimentRun(pol(0.0), pol(0.0), np.zeros((4, 3)), np.zeros((4, 3)), s1, -s1)
+        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1)
         assert empirical_correlator(run) == 1.0
 
     def test_orthogonal_settings_vanish(self):
@@ -201,6 +293,16 @@ class TestPassageProbability:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             passage_probability(pol(0.0), pol(0.0), "exact")
+
+    def test_monte_carlo_blocks_match_one_draw_and_quadrature(self):
+        n = 3 * PAIR_CHUNK + 7
+        for p_a, p_b in KERNEL_POLARIZERS:
+            mc = passage_probability(p_a, p_b, "monte_carlo", n=n, master_seed=17, stream_id=2)
+            u = substream(17, 2).random((n, 4))
+            dots = np.einsum("ij,ij->i", _cap_from_uniforms(p_a.cap, u[:, 0], u[:, 1]),
+                             _cap_from_uniforms(p_b.cap, u[:, 2], u[:, 3]))
+            assert mc == pytest.approx(float(np.mean(0.25 * (1.0 - dots))), rel=1e-12, abs=1e-15)
+            assert abs(mc - passage_probability(p_a, p_b, "quadrature")) < 4e-3
 
 
 class TestChsh:
