@@ -89,14 +89,5 @@ from .purity import (
     reduce_intensity,
     runs_test,
 )
-from .bertrand import (
-    ChordTrial,
-    Machine,
-    ProbabilityEstimate,
-    estimate_probability,
-    machine_m1,
-    machine_m2,
-    machine_m3,
-    run_trial,
-)
+from .bertrand import Machine, ProbabilityEstimate, estimate_probability
 from .qkd import KeyPair, ekert_test_statistic, generate_keys, mismatch_rate

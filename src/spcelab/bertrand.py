@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .randkit import RngStream, substream
+from .randkit import substream
 
 #: Outer circle radius (canonical) and the inner hit radius.
 RADIUS = 1.0
@@ -37,13 +37,6 @@ class Machine(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChordTrial:
-    machine: Machine
-    hit: bool
-    geometry: dict
-
-
-@dataclass(frozen=True)
 class ProbabilityEstimate:
     machine: Machine
     n: int
@@ -52,61 +45,8 @@ class ProbabilityEstimate:
     master_seed: int
 
 
-def chord_hits_m1(r) -> bool:
-    """Hit predicate for M1: offset ``r`` along the diameter from Q."""
-    return bool(abs(r - RADIUS) <= INNER_RADIUS)
-
-
-def chord_hits_m2(separation) -> bool:
-    """Hit predicate for M2: angular separation of the endpoints in [0, pi]."""
-    return bool(separation >= 2.0 * math.pi / 3.0)
-
-
-def chord_hits_m3(midpoint_radius) -> bool:
-    """Hit predicate for M3: radial position of the chord midpoint."""
-    return bool(midpoint_radius <= INNER_RADIUS)
-
-
-def machine_m1(rng: RngStream) -> ChordTrial:
-    """Perpendicular-stick machine: Q uniform on the circle, offset uniform on [0, 2R]."""
-    u = rng.random(2)
-    q_angle = 2.0 * math.pi * u[0]
-    r = 2.0 * RADIUS * u[1]
-    return ChordTrial(Machine.M1, chord_hits_m1(r), {"q_angle": q_angle, "r": r})
-
-
-def machine_m2(rng: RngStream) -> ChordTrial:
-    """Two-endpoint machine: both chord ends independent and uniform on the circle."""
-    while True:
-        u = rng.random(2)
-        phi1 = 2.0 * math.pi * u[0]
-        phi2 = 2.0 * math.pi * u[1]
-        if phi1 != phi2:  # coincident endpoints give no chord; redraw
-            break
-    separation = math.pi - abs(math.pi - abs(phi1 - phi2))
-    return ChordTrial(Machine.M2, chord_hits_m2(separation), {"phi1": phi1, "phi2": phi2})
-
-
-def machine_m3(rng: RngStream) -> ChordTrial:
-    """Midpoint machine: chord midpoint uniform on the disk (area measure)."""
-    while True:
-        u = rng.random(2)
-        radius = math.sqrt(u[0])
-        if radius != 0.0:  # center midpoint has no unique chord; redraw
-            break
-    angle = 2.0 * math.pi * u[1]
-    return ChordTrial(Machine.M3, chord_hits_m3(radius), {"mid_radius": radius, "mid_angle": angle})
-
-
-_SCALAR = {Machine.M1: machine_m1, Machine.M2: machine_m2, Machine.M3: machine_m3}
-
 #: Default stream id per machine, so one master seed drives all three independently.
 STREAM_IDS = {Machine.M1: 0, Machine.M2: 1, Machine.M3: 2}
-
-
-def run_trial(machine: Machine, rng: RngStream) -> ChordTrial:
-    """Draw one chord from the given machine."""
-    return _SCALAR[machine](rng)
 
 
 def _batch_hits(machine: Machine, u: np.ndarray) -> np.ndarray:
@@ -136,8 +76,9 @@ def estimate_probability(machine: Machine, n: int, master_seed, stream_id=None) 
     """Hit fraction over ``n`` independent trials, with its binomial standard error.
 
     Trials consume consecutive uniform pairs of the stream keyed by
-    ``(master_seed, stream_id)``; trial ``i`` matches the ``i``-th scalar
-    machine call on the same substream.  ``stream_id`` defaults to the
+    ``(master_seed, stream_id)``: trial ``i`` takes the ``i``-th pair, and a
+    degenerate pair (no unique chord) is re-drawn after all ``n`` in trial
+    order.  ``stream_id`` defaults to the
     machine's index so one master seed runs all machines independently.
     Draws :data:`TRIAL_CHUNK` trials at a time and keeps only the hit count.
     """

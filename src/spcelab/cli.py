@@ -110,14 +110,10 @@ def _get_int(cfg, key, minimum=None, default=_REQUIRED):
     return value
 
 
-def _get_number(cfg, key, lo=None, hi=None, default=None):
+def _get_number(cfg, key, default=None):
     value = cfg.get(key, default)
     _require(value is not None, f"config is missing required field '{key}'")
     _require(_is_number(value), f"'{key}' must be a number")
-    if lo is not None:
-        _require(value >= lo, f"'{key}' must be >= {lo}, got {value}")
-    if hi is not None:
-        _require(value <= hi, f"'{key}' must be <= {hi}, got {value}")
     return float(value)
 
 
@@ -339,6 +335,8 @@ def _purity_samples(cfg, seed):
                  "'inputs' must be a non-empty list of paths")
         for path in paths:
             for i, series in enumerate(coin_lab.read_timeseries_jsonl(path)):
+                if not len(series):
+                    raise FormatError(f"{path}: series {i} is empty")
                 samples.append(purity.Sample(series, f"{Path(path).stem}[{i}]"))
     else:
         gen = cfg["generate"]
@@ -391,7 +389,8 @@ def cmd_purity(cfg, seed, stage: Path, fmt):
     _require(0.0 < alpha < 1.0, f"'alpha' must lie in (0, 1), got {alpha}")
     procedures = _purity_procedures(cfg)
     subensemble_count = _get_int(cfg, "subensemble_count", minimum=0, default=0)
-    fraction = _get_number(cfg, "subensemble_fraction", lo=0.0, hi=1.0, default=0.5)
+    fraction = _get_number(cfg, "subensemble_fraction", default=0.5)
+    _require(0.0 < fraction <= 1.0, f"'subensemble_fraction' must lie in (0, 1], got {fraction}")
     power_floor = _get_int(cfg, "power_floor", minimum=0, default=purity.DEFAULT_POWER_FLOOR)
     samples = _purity_samples(cfg, seed)
     verdict = purity.purity_verdict(samples, procedures, subensemble_count, alpha, master_seed=seed,

@@ -158,7 +158,20 @@ def _series_values(data) -> np.ndarray:
     values = np.asarray(data)
     if values.ndim != 1:
         raise DomainError(f"expected a one-dimensional sample, got shape {values.shape}")
+    if not np.all((values == 1) | (values == -1)):
+        raise DomainError("sample values must be +1 or -1")
     return values
+
+
+def _reduce(values, procedure: Reduction, rng) -> np.ndarray:
+    """The outcomes a reduction keeps, in order; ``thin`` draws one uniform per outcome."""
+    if procedure.kind == "thin":
+        if rng is None:
+            raise DomainError("thin reduction requires an RngStream")
+        return values[rng.random(len(values)) < procedure.param]
+    if procedure.kind == "every_kth":
+        return values[:: int(procedure.param)]
+    return values[: int(procedure.param * len(values))]  # prefix
 
 
 def reduce_intensity(series: TimeSeries, procedure: Reduction, rng: RngStream = None) -> TimeSeries:
@@ -168,34 +181,61 @@ def reduce_intensity(series: TimeSeries, procedure: Reduction, rng: RngStream = 
     ``rng``); ``every_kth(k)`` keeps indices 0, k, 2k, ...; ``prefix(f)``
     keeps the leading fraction ``f``.
     """
-    values = series.values
-    if procedure.kind == "thin":
-        if rng is None:
-            raise DomainError("thin reduction requires an RngStream")
-        keep = rng.random(len(values)) < procedure.param
-        reduced = values[keep]
-    elif procedure.kind == "every_kth":
-        reduced = values[:: int(procedure.param)]
-    else:  # prefix
-        reduced = values[: int(procedure.param * len(values))]
     meta = {**series.meta, "reduction": str(procedure)}
-    return TimeSeries(reduced.copy(), meta)
+    return TimeSeries(_reduce(series.values, procedure, rng).copy(), meta)
 
 
-def random_subensemble(series: TimeSeries, fraction: float, rng: RngStream,
-                       floor: int = RICHNESS_FLOOR) -> TimeSeries:
-    """A uniformly random subset of the stated fraction, order preserved."""
+def _subensemble(values, fraction, rng: RngStream, floor=RICHNESS_FLOOR) -> np.ndarray:
+    """A uniformly random subset of the stated fraction of ``values``, order preserved."""
     if not 0.0 < fraction <= 1.0:
         raise DomainError(f"fraction must be in (0, 1], got {fraction}")
-    n = len(series)
+    n = len(values)
     m = int(fraction * n)
     if m < floor:
         raise DomainError(
             f"sub-ensemble of size {m} is below the richness floor of {floor} outcomes"
         )
-    idx = np.sort(rng.generator.permutation(n)[:m])
+    return values[np.sort(rng.generator.permutation(n)[:m])]
+
+
+def random_subensemble(series: TimeSeries, fraction: float, rng: RngStream,
+                       floor: int = RICHNESS_FLOOR) -> TimeSeries:
+    """A uniformly random subset of the stated fraction, order preserved."""
     meta = {**series.meta, "subensemble_fraction": fraction}
-    return TimeSeries(series.values[idx].copy(), meta)
+    return TimeSeries(_subensemble(series.values, fraction, rng, floor), meta)
+
+
+#: Outcomes counted per pass of :func:`_member_counts`; a longer member is a pass of its own.
+COUNT_BLOCK = 2**15
+
+
+def _member_counts(arrays):
+    """Length, +1 count and run count of each member, as int64 arrays.
+
+    Nonempty members are concatenated in blocks of at most :data:`COUNT_BLOCK`
+    outcomes and counted with ``np.add.reduceat`` over bool masks, so no array
+    as long as the family is built.  The outcome steps summed from a member's
+    start include the step into the next member, which is taken off again.
+    """
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    n_pos = np.zeros_like(lengths)
+    runs = np.minimum(lengths, 1)
+    members = np.flatnonzero(lengths)
+    ends = np.cumsum(lengths[members])
+    first = 0
+    while first < len(members):
+        offset = ends[first] - lengths[members[first]]
+        last = max(int(np.searchsorted(ends, offset + COUNT_BLOCK, side="right")), first + 1)
+        block = members[first:last]
+        flat = arrays[block[0]] if len(block) == 1 else np.concatenate([arrays[i] for i in block])
+        block_ends = ends[first:last] - offset
+        starts = block_ends - lengths[block]
+        n_pos[block] = np.add.reduceat(flat == 1, starts, dtype=np.int64)
+        steps = np.zeros(len(flat), dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=steps[:-1])
+        runs[block] += np.add.reduceat(steps, starts, dtype=np.int64) - steps[block_ends - 1]
+        first = last
+    return lengths, n_pos, runs
 
 
 def _chi2_sf(x, dof) -> float:
@@ -221,22 +261,9 @@ def _chi2_sf(x, dof) -> float:
     return p_value
 
 
-def chi2_homogeneity(samples, alpha) -> TestReport:
-    """Chi-square homogeneity test of k binary samples against one population.
-
-    Builds the k x 2 contingency table of (+1, -1) counts; the statistic has
-    k - 1 degrees of freedom under the null that all samples share one
-    outcome probability.  If any expected cell count falls below 5 the
-    classical approximation is unreliable and the report is flagged invalid
-    rather than silently trusted (below 5: computed but invalid; an expected
-    count of exactly 0 leaves the statistic undefined).
-    """
-    if len(samples) < 2:
-        raise DomainError(f"homogeneity test needs at least 2 samples, got {len(samples)}")
-    table = np.array(
-        [[int(np.sum(v == 1)), int(np.sum(v == -1))] for v in map(_series_values, samples)],
-        dtype=float,
-    )
+def _chi2_report(n_pos, n_neg, alpha) -> TestReport:
+    """Chi-square homogeneity report from the members' (+1, -1) counts."""
+    table = np.column_stack((n_pos, n_neg)).astype(float)
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
     expected = row * col / table.sum()
@@ -252,6 +279,36 @@ def chi2_homogeneity(samples, alpha) -> TestReport:
     return TestReport("chi2_homogeneity", statistic, p_value, alpha)
 
 
+def chi2_homogeneity(samples, alpha) -> TestReport:
+    """Chi-square homogeneity test of k binary samples against one population.
+
+    Builds the k x 2 contingency table of (+1, -1) counts; the statistic has
+    k - 1 degrees of freedom under the null that all samples share one
+    outcome probability.  If any expected cell count falls below 5 the
+    classical approximation is unreliable and the report is flagged invalid
+    rather than silently trusted (below 5: computed but invalid; an expected
+    count of exactly 0 leaves the statistic undefined).
+    """
+    if len(samples) < 2:
+        raise DomainError(f"homogeneity test needs at least 2 samples, got {len(samples)}")
+    lengths, n_pos, _ = _member_counts([_series_values(s) for s in samples])
+    return _chi2_report(n_pos, lengths - n_pos, alpha)
+
+
+def _runs_report(n, n_pos, runs, alpha, label="") -> TestReport:
+    """Runs test report from a member's length, +1 count and run count (Python ints)."""
+    if n < 20:
+        raise DomainError(f"runs test needs series length >= 20, got {n}")
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DomainError("runs test is undefined for a single-symbol series")
+    mu = 2.0 * n_pos * n_neg / n + 1.0
+    sigma = math.sqrt(2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n * n * (n - 1.0)))
+    z = (runs - mu) / sigma
+    p_value = float(math.erfc(abs(z) / math.sqrt(2.0)))
+    return TestReport("runs_test", z, p_value, alpha, label, note=f"runs={runs}")
+
+
 def runs_test(series, alpha) -> TestReport:
     """Wald-Wolfowitz runs test of randomness for a binary series.
 
@@ -260,32 +317,21 @@ def runs_test(series, alpha) -> TestReport:
     ``sigma^2 = 2 n+ n- (2 n+ n- - n) / (n^2 (n - 1))`` via the normal
     approximation; the p-value is two-sided.
     """
-    values = _series_values(series)
-    n = len(values)
-    if n < 20:
-        raise DomainError(f"runs test needs series length >= 20, got {n}")
-    n_pos = int(np.sum(values == 1))
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DomainError("runs test is undefined for a single-symbol series")
-    runs = 1 + int(np.sum(values[1:] != values[:-1]))
-    mu = 2.0 * n_pos * n_neg / n + 1.0
-    sigma = math.sqrt(2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n * n * (n - 1.0)))
-    z = (runs - mu) / sigma
-    p_value = float(math.erfc(abs(z) / math.sqrt(2.0)))
-    return TestReport("runs_test", z, p_value, alpha, note=f"runs={runs}")
+    n, n_pos, runs = (int(c[0]) for c in _member_counts([_series_values(series)]))
+    return _runs_report(n, n_pos, runs, alpha)
 
 
 def holm_adjust(p_values) -> np.ndarray:
-    """Holm step-down adjusted p-values (monotone, capped at 1)."""
+    """Holm step-down adjusted p-values (monotone, capped at 1).
+
+    The ``rank``-th smallest of ``m`` p-values becomes the running maximum of
+    ``(m - rank) * p`` over the ranks up to its own.
+    """
     p = np.asarray(p_values, dtype=float)
-    m = len(p)
     order = np.argsort(p)
-    adjusted = np.empty(m, dtype=float)
-    running = 0.0
-    for rank, idx in enumerate(order):
-        running = max(running, (m - rank) * p[idx])
-        adjusted[idx] = min(running, 1.0)
+    scaled = (len(p) - np.arange(len(p))) * p[order]
+    adjusted = np.empty(len(p), dtype=float)
+    adjusted[order] = np.minimum(np.maximum.accumulate(scaled), 1.0)
     return adjusted
 
 
@@ -298,7 +344,8 @@ def purity_verdict(base_samples, procedures, subensemble_count, alpha, *,
     each procedure, and ``subensemble_count`` random sub-ensembles (drawn from
     the base samples in round-robin order at ``subensemble_fraction``).  One
     chi-square homogeneity test spans the family; a runs test probes each
-    member.  Holm correction is applied across all valid reports.
+    member.  Holm correction is applied across all valid reports.  Every
+    member's counts come from one blocked pass (:func:`_member_counts`).
 
     Verdict logic: ``mixed`` if any corrected homogeneity rejection exists;
     ``pure`` if nothing rejects and the pooled base size reaches
@@ -311,33 +358,39 @@ def purity_verdict(base_samples, procedures, subensemble_count, alpha, *,
     rng = substream(master_seed, 0)
     notes = []
 
-    family = list(base_samples)
+    # the family as parallel lists: a tuple per member would outlive the call on the tuple free list
+    labels = [s.label for s in base_samples]
+    arrays = [s.series.values for s in base_samples]
+    named = [(procedure, str(procedure)) for procedure in procedures]
     for sample in base_samples:
-        for procedure in procedures:
-            reduced = reduce_intensity(sample.series, procedure, rng)
+        for procedure, name in named:
+            label = f"{sample.label}({name})"
+            reduced = _reduce(sample.series.values, procedure, rng)
             if len(reduced) == 0:
-                notes.append(f"{sample.label}({procedure}): reduction emptied the sample; excluded")
+                notes.append(f"{label}: reduction emptied the sample; excluded")
                 continue
-            family.append(Sample(reduced, f"{sample.label}({procedure})"))
+            labels.append(label)
+            arrays.append(reduced)
     for k in range(subensemble_count):
         parent = base_samples[k % len(base_samples)]
+        label = f"{parent.label}[sub{k}]"
         try:
-            sub = random_subensemble(parent.series, subensemble_fraction, rng)
+            arrays.append(_subensemble(parent.series.values, subensemble_fraction, rng))
         except DomainError as exc:
-            notes.append(f"{parent.label}[sub{k}]: {exc}; excluded")
+            notes.append(f"{label}: {exc}; excluded")
             continue
-        family.append(Sample(sub, f"{parent.label}[sub{k}]"))
+        labels.append(label)
 
-    reports = [chi2_homogeneity(family, alpha)]
+    lengths, n_pos, runs = _member_counts(arrays)
+    reports = [_chi2_report(n_pos, lengths - n_pos, alpha)]
     reports[0].label = "family"
-    for member in family:
+    for label, n, pos, r in zip(labels, lengths.tolist(), n_pos.tolist(), runs.tolist()):
         try:
-            report = runs_test(member, alpha)
+            reports.append(_runs_report(n, pos, r, alpha, label))
         except DomainError as exc:
-            report = TestReport("runs_test", math.nan, math.nan, alpha, valid=False, note=str(exc))
-            notes.append(f"{member.label}: runs test invalid ({exc})")
-        report.label = member.label
-        reports.append(report)
+            reports.append(TestReport("runs_test", math.nan, math.nan, alpha, label,
+                                      valid=False, note=str(exc)))
+            notes.append(f"{label}: runs test invalid ({exc})")
 
     valid = [r for r in reports if r.valid]
     if valid:

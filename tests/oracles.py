@@ -5,7 +5,9 @@ midpoint quadrature on explicit grids, or closed-form moments rederived in
 place.  Nothing imports the sampling code paths under test; the pair twins
 below draw from a stream and map uniforms to cap directions with
 ``randkit._cap_from_uniforms``, whose geometry ``test_randkit`` checks on its
-own, and build everything else here.
+own, and build everything else here.  The scalar chord machines draw one
+trial per call, and ``purity_reports`` runs the purity battery one member at
+a time through the public one-member tests.
 """
 
 import itertools
@@ -15,9 +17,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from spcelab.bertrand import INNER_RADIUS, RADIUS, Machine
 from spcelab.errors import DomainError
-from spcelab.purity import TestReport
-from spcelab.randkit import _cap_from_uniforms, substream
+from spcelab.purity import (
+    Sample,
+    TestReport,
+    chi2_homogeneity,
+    random_subensemble,
+    reduce_intensity,
+    runs_test,
+)
+from spcelab.randkit import RngStream, _cap_from_uniforms, substream
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +270,70 @@ def two_proportion_z(k1, n1, k2, n2):
     return (p1 - p2) / se
 
 
+# ---------------------------------------------------------------------------
+# Bertrand chords: the scalar machines, one trial per call, and the geometry
+
+@dataclass(frozen=True)
+class ChordTrial:
+    machine: Machine
+    hit: bool
+    geometry: dict
+
+
+def chord_hits_m1(r) -> bool:
+    """Hit predicate for M1: offset ``r`` along the diameter from Q."""
+    return bool(abs(r - RADIUS) <= INNER_RADIUS)
+
+
+def chord_hits_m2(separation) -> bool:
+    """Hit predicate for M2: angular separation of the endpoints in [0, pi]."""
+    return bool(separation >= 2.0 * math.pi / 3.0)
+
+
+def chord_hits_m3(midpoint_radius) -> bool:
+    """Hit predicate for M3: radial position of the chord midpoint."""
+    return bool(midpoint_radius <= INNER_RADIUS)
+
+
+def machine_m1(rng: RngStream) -> ChordTrial:
+    """Perpendicular-stick machine: Q uniform on the circle, offset uniform on [0, 2R]."""
+    u = rng.random(2)
+    q_angle = 2.0 * math.pi * u[0]
+    r = 2.0 * RADIUS * u[1]
+    return ChordTrial(Machine.M1, chord_hits_m1(r), {"q_angle": q_angle, "r": r})
+
+
+def machine_m2(rng: RngStream) -> ChordTrial:
+    """Two-endpoint machine: both chord ends independent and uniform on the circle."""
+    while True:
+        u = rng.random(2)
+        phi1 = 2.0 * math.pi * u[0]
+        phi2 = 2.0 * math.pi * u[1]
+        if phi1 != phi2:  # coincident endpoints give no chord; redraw
+            break
+    separation = math.pi - abs(math.pi - abs(phi1 - phi2))
+    return ChordTrial(Machine.M2, chord_hits_m2(separation), {"phi1": phi1, "phi2": phi2})
+
+
+def machine_m3(rng: RngStream) -> ChordTrial:
+    """Midpoint machine: chord midpoint uniform on the disk (area measure)."""
+    while True:
+        u = rng.random(2)
+        radius = math.sqrt(u[0])
+        if radius != 0.0:  # center midpoint has no unique chord; redraw
+            break
+    angle = 2.0 * math.pi * u[1]
+    return ChordTrial(Machine.M3, chord_hits_m3(radius), {"mid_radius": radius, "mid_angle": angle})
+
+
+_SCALAR = {Machine.M1: machine_m1, Machine.M2: machine_m2, Machine.M3: machine_m3}
+
+
+def run_trial(machine: Machine, rng: RngStream) -> ChordTrial:
+    """Draw one chord from the given machine."""
+    return _SCALAR[machine](rng)
+
+
 def chord_center_distance(machine, geometry):
     """Distance from the circle center to the chord, rebuilt from raw geometry.
 
@@ -316,3 +390,62 @@ def ks_two_sample(x, y, alpha):
     effective = round(n * m / (n + m))
     p_value = float(kstwo.sf(statistic, effective))
     return TestReport("ks_two_sample", statistic, min(p_value, 1.0), alpha)
+
+
+# ---------------------------------------------------------------------------
+# purity battery: one member at a time, as the per-member loop it replaced
+
+def holm_loop(p_values):
+    """Holm step-down adjusted p-values from an explicit running maximum."""
+    p = np.asarray(p_values, dtype=float)
+    m = len(p)
+    adjusted = np.empty(m, dtype=float)
+    running = 0.0
+    for rank, idx in enumerate(np.argsort(p)):
+        running = max(running, (m - rank) * p[idx])
+        adjusted[idx] = min(running, 1.0)
+    return adjusted
+
+
+def purity_reports(base_samples, procedures, subensemble_count, alpha, master_seed=0,
+                   subensemble_fraction=0.5):
+    """Reports and notes of the purity battery (power-floor note aside), member by member.
+
+    Builds each reduced member with ``reduce_intensity`` and each sub-ensemble
+    with ``random_subensemble`` on one stream, in the battery's order, then
+    runs ``chi2_homogeneity`` over the family, ``runs_test`` on each member
+    and :func:`holm_loop` over the valid reports.
+    """
+    rng = substream(master_seed, 0)
+    notes = []
+    family = list(base_samples)
+    for sample in base_samples:
+        for procedure in procedures:
+            reduced = reduce_intensity(sample.series, procedure, rng)
+            if len(reduced) == 0:
+                notes.append(f"{sample.label}({procedure}): reduction emptied the sample; excluded")
+                continue
+            family.append(Sample(reduced, f"{sample.label}({procedure})"))
+    for k in range(subensemble_count):
+        parent = base_samples[k % len(base_samples)]
+        try:
+            sub = random_subensemble(parent.series, subensemble_fraction, rng)
+        except DomainError as exc:
+            notes.append(f"{parent.label}[sub{k}]: {exc}; excluded")
+            continue
+        family.append(Sample(sub, f"{parent.label}[sub{k}]"))
+
+    reports = [chi2_homogeneity(family, alpha)]
+    reports[0].label = "family"
+    for member in family:
+        try:
+            report = runs_test(member, alpha)
+        except DomainError as exc:
+            report = TestReport("runs_test", math.nan, math.nan, alpha, valid=False, note=str(exc))
+            notes.append(f"{member.label}: runs test invalid ({exc})")
+        report.label = member.label
+        reports.append(report)
+    valid = [r for r in reports if r.valid]
+    for report, p_adj in zip(valid, holm_loop([r.p_value for r in valid])):
+        report.p_adjusted = float(p_adj)
+    return reports, notes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import chord_hits_m1, chord_hits_m2, chord_hits_m3, machine_m1, machine_m2, machine_m3, run_trial
 from spcelab import bertrand
 from spcelab.bertrand import (
     INNER_RADIUS,
@@ -11,14 +12,7 @@ from spcelab.bertrand import (
     Machine,
     _batch_degenerate,
     _batch_hits,
-    chord_hits_m1,
-    chord_hits_m2,
-    chord_hits_m3,
     estimate_probability,
-    machine_m1,
-    machine_m2,
-    machine_m3,
-    run_trial,
 )
 from spcelab.errors import DomainError
 from spcelab.randkit import substream
@@ -88,6 +82,21 @@ class TestEstimates:
                 round(estimates[a].p_hat * n), n, round(estimates[b].p_hat * n), n
             )
             assert abs(z) > 50.0
+
+    @pytest.mark.parametrize("machine", list(Machine))
+    def test_estimate_agrees_with_geometric_oracle(self, machine):
+        n = TRIAL_CHUNK + 34_465  # crosses a block edge
+        est = estimate_probability(machine, n, master_seed=73, stream_id=5)
+        u = substream(73, 5).random((n, 2))
+        assert not np.any(_batch_degenerate(machine, u))
+        if machine is Machine.M1:
+            geometry = {"q_angle": 2 * math.pi * u[:, 0], "r": 2 * u[:, 1]}
+        elif machine is Machine.M2:
+            geometry = {"phi1": 2 * math.pi * u[:, 0], "phi2": 2 * math.pi * u[:, 1]}
+        else:
+            geometry = {"mid_radius": np.sqrt(u[:, 0]), "mid_angle": 2 * math.pi * u[:, 1]}
+        hits = int(np.sum(oracles.chord_center_distance(machine.value, geometry) <= INNER_RADIUS))
+        assert est.p_hat == hits / n
 
     def test_batch_matches_scalar_trials(self):
         n = 200

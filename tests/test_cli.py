@@ -242,6 +242,18 @@ class TestPurityCommand:
             assert code == 4, third_line
             assert "line 3" in capsys.readouterr().err, third_line
 
+    def test_empty_input_series_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "series.jsonl"
+        data.write_text('{"kind": "header", "n": 2}\n{"index": 0, "outcome": 1}\n'
+                        '{"index": 1, "outcome": -1}\n{"kind": "header", "n": 0}\n')
+        assert [len(s) for s in read_timeseries_jsonl(data)] == [2, 0]
+        cfg = write_config(tmp_path, {"inputs": [str(data)], "seed": 0})
+        out = tmp_path / "out"
+        assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert str(data) in err and "series 1 is empty" in err
+        assert not out.exists()
+
     def test_invalid_runs_tests_write_strict_json(self, tmp_path):
         # prefix(0.005) leaves 15 trials per member, too few for a runs test
         cfg = write_config(tmp_path, {
@@ -352,6 +364,8 @@ class TestQkdCommand:
      "with_replacement"),
     ("spce", {"axes": {"A": 0, "B": 45}, "epsilon": {"A": 0.1, "B": 0.2, "A_prime": 1.5}, "n": 10},
      "A_prime"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "subensemble_count": 2, "subensemble_fraction": 0}, "subensemble_fraction"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)

@@ -6,10 +6,13 @@ from scipy import stats as scipy_stats
 
 import oracles
 from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, TimeSeries, UrnState, run_box_experiment, run_device
+from spcelab import purity
 from spcelab.errors import DomainError
 from spcelab.purity import (
+    COUNT_BLOCK,
     DEFAULT_POWER_FLOOR,
     _chi2_sf,
+    _member_counts,
     Reduction,
     Sample,
     TestReport as HypothesisTestReport,
@@ -242,6 +245,13 @@ class TestRunsTest:
         with pytest.raises(DomainError):
             runs_test(np.array([1, -1] * 5, dtype=np.int8), 0.05)
 
+    def test_values_other_than_plus_minus_one_rejected(self):
+        bad = np.array([1, 0, -1] * 10)
+        with pytest.raises(DomainError, match=r"\+1 or -1"):
+            runs_test(bad, 0.05)
+        with pytest.raises(DomainError, match=r"\+1 or -1"):
+            chi2_homogeneity([bad, np.array([1, -1] * 15)], 0.05)
+
     def test_moments_match_exact_enumeration(self):
         for n, n_pos in ((10, 4), (12, 6), (9, 3)):
             exact_mu, exact_sigma = oracles.runs_moments_enumerated(n, n_pos)
@@ -267,6 +277,13 @@ class TestHolm:
         adjusted = holm_adjust([0.9, 0.8, 0.7])
         assert np.all(adjusted <= 1.0)
         assert adjusted[0] >= adjusted[1] >= adjusted[2]
+
+    def test_matches_running_max_loop(self):
+        g = np.random.default_rng(41)
+        for m in (0, 1, 2, 3, 7, 100, 3011):
+            pool = np.concatenate([[0.0, 0.0, 1.0, 0.5, 1e-300], g.random(4), g.random(m)])
+            p = g.choice(pool, size=m)  # ties and zeros
+            assert holm_adjust(p).tobytes() == oracles.holm_loop(p).tobytes()
 
 
 def e6_family(seed, runs=10, n=10_000):
@@ -362,3 +379,77 @@ class TestReportInvariant:
         assert not report.reject
         nan_report = HypothesisTestReport("t", math.nan, math.nan, 0.05)
         assert not nan_report.reject
+
+
+def random_member(g):
+    """A +/-1 series that is often short (< 20) or single-symbol."""
+    n = int(g.integers(1, 20)) if g.random() < 0.3 else int(g.integers(20, 400))
+    p_blue = g.choice([0.0, 1.0, g.random(), g.random()])
+    return np.where(g.random(n) < p_blue, 1, -1).astype(np.int8)
+
+
+def random_procedure(g):
+    kind = int(g.integers(3))
+    if kind == 0:
+        return Reduction.thin(g.choice([0.02, 0.5, 1.0]))
+    if kind == 1:
+        return Reduction.every_kth(int(g.integers(1, 5)))
+    return Reduction.prefix(g.choice([0.01, 0.3, 1.0]))
+
+
+def family_of(sizes, g):
+    return [Sample(TimeSeries(np.where(g.random(n) < 0.5, 1, -1).astype(np.int8)), f"m{i}")
+            for i, n in enumerate(sizes)]
+
+
+class TestBatteryAgainstOracle:
+    """purity_verdict's reports and notes equal the member-by-member battery's exactly."""
+
+    @staticmethod
+    def battery(samples, procedures, subensembles, alpha=0.05, seed=0, fraction=0.5):
+        verdict = purity_verdict(samples, procedures, subensembles, alpha, master_seed=seed,
+                                 subensemble_fraction=fraction, power_floor=0)
+        reports, notes = oracles.purity_reports(samples, procedures, subensembles, alpha, seed, fraction)
+        assert [r.to_dict() for r in verdict.reports] == [r.to_dict() for r in reports]
+        assert verdict.notes == notes
+        return notes
+
+    @pytest.mark.parametrize("block", [7, 64, COUNT_BLOCK])
+    def test_random_families(self, monkeypatch, block):
+        monkeypatch.setattr(purity, "COUNT_BLOCK", block)
+        seen = set()
+        for seed in range(40):
+            g = np.random.default_rng(seed)
+            samples = [Sample(TimeSeries(random_member(g)), f"s{i}") for i in range(int(g.integers(2, 6)))]
+            procedures = [random_procedure(g) for _ in range(int(g.integers(0, 4)))]
+            notes = self.battery(samples, procedures, int(g.integers(0, 6)), g.choice([0.01, 0.05, 0.5]),
+                                 int(g.integers(2**63)), g.choice([0.05, 0.5, 1.0]))
+            for needle in ("length >= 20", "single-symbol", "emptied", "richness floor"):
+                seen.update(needle for note in notes if needle in note)
+        assert seen == {"length >= 20", "single-symbol", "emptied", "richness floor"}
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    @pytest.mark.parametrize("tail", [[], [300, 77, 41]])
+    def test_family_at_a_block_edge(self, edge, tail):
+        g = np.random.default_rng(edge + 2)
+        head = [COUNT_BLOCK // 3, COUNT_BLOCK - COUNT_BLOCK // 3 - sum(tail[:1]) + edge]
+        samples = family_of(head + tail, g)
+        assert sum(len(s.series) for s in samples[:len(head) + 1]) == COUNT_BLOCK + edge
+        self.battery(samples, [], 0)
+        self.battery(samples, [Reduction.every_kth(1), Reduction.thin(0.5)], 4, seed=edge + 9)
+
+    def test_member_longer_than_a_block(self):
+        samples = family_of([500, 3 * COUNT_BLOCK + 5, 700], np.random.default_rng(11))
+        self.battery(samples, [Reduction.thin(0.5), Reduction.every_kth(3)], 3, seed=12)
+
+    @pytest.mark.parametrize("block", [1, 5, COUNT_BLOCK])
+    def test_member_counts_match_per_member_sums(self, monkeypatch, block):
+        monkeypatch.setattr(purity, "COUNT_BLOCK", block)
+        g = np.random.default_rng(13)
+        arrays = [random_member(g) for _ in range(60)] + [np.array([], dtype=np.int8)]
+        arrays[7] = arrays[30] = np.array([], dtype=np.int8)
+        arrays[40] = family_of([2 * COUNT_BLOCK + 3], g)[0].series.values
+        lengths, n_pos, runs = _member_counts(arrays)
+        assert lengths.tolist() == [len(a) for a in arrays]
+        assert n_pos.tolist() == [int(np.sum(a == 1)) for a in arrays]
+        assert runs.tolist() == [1 + int(np.sum(a[1:] != a[:-1])) if len(a) else 0 for a in arrays]
