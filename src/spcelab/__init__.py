@@ -39,22 +39,13 @@ from .randkit import (
     uniform_direction,
 )
 from .coin_lab import (
-    BoxKind,
-    CoinFace,
-    DeviceKind,
     OutcomeLaw,
     TimeSeries,
     UrnState,
-    box_law,
-    device_law,
-    draw_urn,
     read_timeseries_jsonl,
     regenerate_series,
     remove_coins,
-    run_box_experiment,
-    run_device,
     sample_runs,
-    urn_law,
     write_timeseries_jsonl,
 )
 from .spce import (

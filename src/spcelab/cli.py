@@ -249,10 +249,6 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
 
 _SUMMARY_HEADER = ["experiment", "runs", "n", "mean_count_b", "var_count_b",
                    "mean_fraction_b", "z", "p"]
-_DEVICES = {"E1": coin_lab.DeviceKind.D1_FLIP,
-            "E2": coin_lab.DeviceKind.D2_ALTERNATING,
-            "E3": coin_lab.DeviceKind.D3_BERNOULLI}
-_BOXES = {"E5": coin_lab.BoxKind.MIXED_E5, "E6": coin_lab.BoxKind.PURE_E6}
 
 
 def _summarize(experiment, counts, runs, n):
@@ -264,7 +260,7 @@ def _summarize(experiment, counts, runs, n):
 
 _COIN_FIELDS = ("seed", "experiment", "runs", "n", "series_limit")
 #: The fields each experiment uses besides ``_COIN_FIELDS``; any other field is rejected.
-_EXPERIMENT_FIELDS = {**dict.fromkeys(_DEVICES, ("initial_face",)),
+_EXPERIMENT_FIELDS = {**dict.fromkeys(("E1", "E2", "E3"), ("initial_face",)),
                       "E4": ("urn", "remove", "with_replacement"),
                       **dict.fromkeys(("E5", "E6", "E5E6"), ("urn", "remove"))}
 
@@ -278,34 +274,28 @@ def cmd_coins(cfg, seed, stage: Path, fmt):
     runs = _get_int(cfg, "runs", minimum=1, default=1)
     n = _get_int(cfg, "n", minimum=1)
     series_limit = _get_int(cfg, "series_limit", minimum=0, default=10)
-    face = cfg.get("initial_face", "B")
-    _require(face in ("B", "R"), f"'initial_face' must be 'B' or 'R', got {face!r}")
+    params = {"initial_face": cfg.get("initial_face", "B"), "n": n}
     with_replacement = _get_bool(cfg, "with_replacement", False)
-    urn = None
-    if experiment not in _DEVICES:
+    if "urn" in _EXPERIMENT_FIELDS[experiment]:
         _require(cfg.get("urn") is not None, f"experiment {experiment} requires an 'urn'")
         urn = _parse_urn(cfg["urn"])
-    remove = _get_int(cfg, "remove", minimum=0, default=0)
-    if remove:
-        _require(remove <= urn.total, f"cannot remove {remove} coins from {urn.total}")
-        urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
-
-    def law(exp):
-        if exp in _DEVICES:
-            return coin_lab.device_law(_DEVICES[exp], coin_lab.CoinFace[face], n)
-        if exp == "E4":
-            return coin_lab.urn_law(urn, n, with_replacement)
-        return coin_lab.box_law(_BOXES[exp], urn, n)
+        remove = _get_int(cfg, "remove", minimum=0, default=0)
+        if remove:
+            urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
+        params.update(n_blue=urn.n_blue, n_red=urn.n_red)
 
     experiments = ["E5", "E6"] if experiment == "E5E6" else [experiment]
+    # with_replacement is a field of E4 only
+    laws = [coin_lab.OutcomeLaw("urn:replace" if with_replacement else coin_lab.EXPERIMENTS[exp],
+                                params) for exp in experiments]
     outputs = []
     rows = []
     pooled = {}
-    for exp_index, exp in enumerate(experiments):
+    for exp_index, (exp, law) in enumerate(zip(experiments, laws)):
         # stream 0 is reserved for the removal perturbation
         first = 1 + exp_index * runs
         counts, serialized = coin_lab.sample_runs(
-            law(exp), seed, np.arange(first, first + runs, dtype=np.uint64), keep=series_limit)
+            law, seed, np.arange(first, first + runs, dtype=np.uint64), keep=series_limit)
         name = "series.jsonl" if len(experiments) == 1 else f"series_{exp.lower()}.jsonl"
         coin_lab.write_timeseries_jsonl(serialized, stage / name)
         outputs.append(name)
@@ -334,7 +324,11 @@ def _purity_samples(cfg, seed):
         _require(isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths),
                  "'inputs' must be a non-empty list of paths")
         for path in paths:
-            for i, series in enumerate(coin_lab.read_timeseries_jsonl(path)):
+            try:
+                series_list = coin_lab.read_timeseries_jsonl(path)
+            except FormatError as exc:
+                raise FormatError(f"{path}: {exc}") from exc
+            for i, series in enumerate(series_list):
                 if not len(series):
                     raise FormatError(f"{path}: series {i} is empty")
                 samples.append(purity.Sample(series, f"{Path(path).stem}[{i}]"))
@@ -348,9 +342,11 @@ def _purity_samples(cfg, seed):
             _require(isinstance(entry, dict), "each generate entry must be an object")
             _check_fields(entry, "a generate entry", "box", "urn", "n", "count")
             box_name = entry.get("box")
-            _require(box_name in _BOXES, f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
-            law = coin_lab.box_law(_BOXES[box_name], _parse_urn(entry.get("urn")),
-                                   _get_int(entry, "n", minimum=1))
+            _require(box_name in ("E5", "E6"),
+                     f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
+            urn = _parse_urn(entry.get("urn"))
+            law = coin_lab.OutcomeLaw(coin_lab.EXPERIMENTS[box_name], {
+                "n_blue": urn.n_blue, "n_red": urn.n_red, "n": _get_int(entry, "n", minimum=1)})
             entries.append((law, _get_int(entry, "count", minimum=1, default=1)))
         stream_id = 1
         for law, count in entries:

@@ -17,7 +17,6 @@ Outcomes map to +1 for blue (B) and -1 for red (R) throughout.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 
@@ -25,28 +24,6 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .randkit import RngStream, stream_uniforms, substream
-
-
-class CoinFace(enum.Enum):
-    """A coin face; the enum value is the canonical numeric encoding."""
-
-    B = 1
-    R = -1
-
-    @property
-    def complement(self) -> "CoinFace":
-        return CoinFace.R if self is CoinFace.B else CoinFace.B
-
-
-class DeviceKind(enum.Enum):
-    D1_FLIP = "D1"
-    D2_ALTERNATING = "D2"
-    D3_BERNOULLI = "D3"
-
-
-class BoxKind(enum.Enum):
-    MIXED_E5 = "E5"
-    PURE_E6 = "E6"
 
 
 @dataclass(frozen=True)
@@ -122,18 +99,62 @@ def _urn_step_law(u, n_blue, total):
     return blue
 
 
+_DEVICE = ("initial_face", "n")
+_URN = ("n_blue", "n_red", "n")
+
+#: The params each generator's law reads, by the ``generator_id`` a series header records.
+GENERATOR_PARAMS = {
+    "device:D1": _DEVICE, "device:D2": _DEVICE, "device:D3": _DEVICE,
+    "urn:replace": _URN, "urn:noreplace": _URN,
+    "box:E5": _URN, "box:E6": _URN,
+}
+
+#: The generator each named experiment runs; E4 with replacement runs ``urn:replace``.
+EXPERIMENTS = {"E1": "device:D1", "E2": "device:D2", "E3": "device:D3",
+               "E4": "urn:noreplace", "E5": "box:E5", "E6": "box:E6"}
+
+
 @dataclass(frozen=True)
 class OutcomeLaw:
     """How one run of an experiment turns the uniforms of its stream into outcomes.
 
     ``generator_id`` and ``params`` are what a series header records, so a
     run is regenerable from its header and its ``(master_seed, stream_id)``.
-    Build laws with :func:`device_law`, :func:`urn_law` or :func:`box_law`,
-    which check their arguments.
+    The law checks both and keeps only the params ``GENERATOR_PARAMS`` lists
+    for its generator.  ``urn:noreplace`` draws by the step law: blue at step
+    ``k + 1`` given ``m`` blues so far with chance ``(n_blue - m) / (total - k)``.
     """
 
     generator_id: str
     params: dict
+
+    def __post_init__(self):
+        gid = self.generator_id
+        if not isinstance(gid, str) or gid not in GENERATOR_PARAMS:
+            raise DomainError(f"unknown generator_id {gid!r}")
+        try:
+            params = {key: self.params[key] for key in GENERATOR_PARAMS[gid]}
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"{gid} needs params {', '.join(GENERATOR_PARAMS[gid])},"
+                              f" got {self.params!r}") from exc
+        for key, value in params.items():
+            if key != "initial_face" and type(value) is not int:
+                raise DomainError(f"param {key!r} must be an integer, got {value!r}")
+        object.__setattr__(self, "params", params)
+        n, urn = params["n"], gid.startswith("urn:")
+        if urn and n < 0:
+            raise DomainError(f"draw count must be >= 0, got {n}")
+        if not urn and n < 1:
+            raise DomainError(f"trial count must be >= 1, got {n}")
+        if "initial_face" in params and params["initial_face"] not in ("B", "R"):
+            raise DomainError(f"'initial_face' must be 'B' or 'R', got {params['initial_face']!r}")
+        if "n_blue" in params:
+            total = UrnState(params["n_blue"], params["n_red"]).total
+            if total == 0:
+                raise DomainError("cannot draw from an empty urn" if urn
+                                  else "box experiment requires a non-empty urn")
+            if gid == "urn:noreplace" and n > total:
+                raise DomainError(f"cannot draw {n} coins without replacement from {total}")
 
     @property
     def uniforms(self) -> int:
@@ -164,80 +185,6 @@ class OutcomeLaw:
         return TimeSeries(np.where(blue, 1, -1).astype(np.int8), meta)
 
 
-def device_law(kind: DeviceKind, initial_face: CoinFace, n: int) -> OutcomeLaw:
-    """The law of ``n`` flips of one coin in a device.
-
-    D1 deterministically lands the opposite face, giving a constant series of
-    ``initial_face.complement``.  D2 alternates strictly; its internal memory
-    bit makes only the first outcome random (uniform), after which the series
-    is fixed.  D3 produces i.i.d. fair outcomes regardless of the inserted
-    face.
-    """
-    if n < 1:
-        raise DomainError(f"trial count must be >= 1, got {n}")
-    if not isinstance(kind, DeviceKind):
-        raise DomainError(f"unknown device kind: {kind!r}")
-    return OutcomeLaw(f"device:{kind.value}", {"initial_face": initial_face.name, "n": int(n)})
-
-
-def urn_law(urn: UrnState, n: int, with_replacement: bool) -> OutcomeLaw:
-    """The law of ``n`` draws from the urn.
-
-    Without replacement the draw order is a uniform random permutation of the
-    urn contents, drawn by the step law: blue at step ``k + 1`` given ``m``
-    blues so far with chance ``(n_blue - m) / (total - k)``.  With
-    replacement the trials are i.i.d. with ``p = n_blue / total``.
-    """
-    if n < 0:
-        raise DomainError(f"draw count must be >= 0, got {n}")
-    if urn.total == 0:
-        raise DomainError("cannot draw from an empty urn")
-    if not with_replacement and n > urn.total:
-        raise DomainError(f"cannot draw {n} coins without replacement from {urn.total}")
-    return OutcomeLaw("urn:replace" if with_replacement else "urn:noreplace",
-                      {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)})
-
-
-def box_law(box: BoxKind, urn: UrnState, n: int) -> OutcomeLaw:
-    """The law of one run of the mixed (E5) or pure (E6) box experiment.
-
-    E5 picks a one-colored coin uniformly with replacement and reveals its
-    fixed color, so ``p(B) = n_blue / total`` per trial.  E6 feeds identical
-    two-sided coins into the fair flipper, so ``p(B) = 0.5`` no matter what
-    the box composition is.
-    """
-    if n < 1:
-        raise DomainError(f"trial count must be >= 1, got {n}")
-    if urn.total == 0:
-        raise DomainError("box experiment requires a non-empty urn")
-    if not isinstance(box, BoxKind):
-        raise DomainError(f"unknown box kind: {box!r}")
-    return OutcomeLaw(f"box:{box.value}", {"n_blue": urn.n_blue, "n_red": urn.n_red, "n": int(n)})
-
-
-def run_device(kind: DeviceKind, initial_face: CoinFace, n: int, rng: RngStream) -> TimeSeries:
-    """Flip one coin ``n`` times in the given device (see :func:`device_law`)."""
-    return device_law(kind, initial_face, n).series(rng)
-
-
-def draw_urn(urn: UrnState, n: int, with_replacement: bool, rng: RngStream):
-    """Draw ``n`` coins from the urn (see :func:`urn_law`); returns ``(series, post_draw_urn)``.
-
-    Without replacement the returned urn reflects the removed coins; with
-    replacement it comes back unchanged.
-    """
-    series = urn_law(urn, n, with_replacement).series(rng)
-    if with_replacement:
-        return series, urn
-    drawn_blue = int(np.sum(series.values == 1))
-    return series, UrnState(urn.n_blue - drawn_blue, urn.n_red - (n - drawn_blue))
-
-
-def run_box_experiment(box: BoxKind, urn: UrnState, n: int, rng: RngStream) -> TimeSeries:
-    """One run of the mixed (E5) or pure (E6) box experiment (see :func:`box_law`)."""
-    return box_law(box, urn, n).series(rng)
-
-
 def sample_runs(law: OutcomeLaw, master_seed, stream_ids, keep=0):
     """Blue counts of one run per stream id, plus the series of the first ``keep`` runs.
 
@@ -263,33 +210,21 @@ def sample_runs(law: OutcomeLaw, master_seed, stream_ids, keep=0):
 def remove_coins(urn: UrnState, count: int, rng: RngStream) -> UrnState:
     """Remove ``count`` coins uniformly without replacement (hypergeometric split).
 
-    The coins are drawn by the same step law as :func:`draw_urn`.
+    The coins are drawn by the step law of ``urn:noreplace``, one uniform of
+    ``rng`` per coin.
     """
     if count < 0:
         raise DomainError(f"removal count must be >= 0, got {count}")
     if count > urn.total:
         raise DomainError(f"cannot remove {count} coins from {urn.total}")
-    if count == 0:
-        return urn
-    return draw_urn(urn, count, False, rng)[1]
+    drawn_blue = int(_urn_step_law(rng.random(count), urn.n_blue, urn.total).sum())
+    return UrnState(urn.n_blue - drawn_blue, urn.n_red - (count - drawn_blue))
 
 
 def regenerate_series(meta: dict) -> TimeSeries:
-    """Rebuild a series bit-exactly from its generation metadata."""
-    gid = meta.get("generator_id", "")
-    params = meta.get("params", {})
-    rng = substream(meta["master_seed"], meta["stream_id"])
-    if gid.startswith("device:"):
-        kind = DeviceKind(gid.split(":", 1)[1])
-        return run_device(kind, CoinFace[params["initial_face"]], params["n"], rng)
-    if gid.startswith("urn:"):
-        urn = UrnState(params["n_blue"], params["n_red"])
-        series, _ = draw_urn(urn, params["n"], gid == "urn:replace", rng)
-        return series
-    if gid.startswith("box:"):
-        urn = UrnState(params["n_blue"], params["n_red"])
-        return run_box_experiment(BoxKind(gid.split(":", 1)[1]), urn, params["n"], rng)
-    raise DomainError(f"cannot regenerate series for generator_id {gid!r}")
+    """Rebuild a series bit-exactly from its generation metadata (a series header)."""
+    law = OutcomeLaw(meta.get("generator_id", ""), meta.get("params", {}))
+    return law.series(substream(meta["master_seed"], meta["stream_id"]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from spcelab.bertrand import Machine, estimate_probability
 from spcelab.cli import main as cli_main
-from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, UrnState, run_box_experiment, run_device, sample_runs, urn_law
+from spcelab.coin_lab import OutcomeLaw, sample_runs
 from spcelab.purity import Reduction, Sample, Verdict, purity_verdict, runs_test
 from spcelab.qkd import generate_keys, mismatch_rate
 from spcelab.randkit import Direction, substream
@@ -123,9 +123,9 @@ def test_criterion_5_qkd_mismatch_monotonicity():
 
 def test_criterion_6_urn_variance_structure():
     runs, n = 100_000, 100
-    urn = UrnState(51, 51)
-    counts_dep, _ = sample_runs(urn_law(urn, n, with_replacement=False), 6, np.arange(runs))
-    counts_iid, _ = sample_runs(urn_law(urn, n, with_replacement=True), 7, np.arange(runs))
+    urn = {"n_blue": 51, "n_red": 51, "n": n}
+    counts_dep, _ = sample_runs(OutcomeLaw("urn:noreplace", urn), 6, np.arange(runs))
+    counts_iid, _ = sample_runs(OutcomeLaw("urn:replace", urn), 7, np.arange(runs))
     _, var_expected = oracles.hypergeom_count_moments(51, 51, n)
     var_dep = float(counts_dep.var(ddof=1))
     var_iid = float(counts_iid.var(ddof=1))
@@ -142,17 +142,17 @@ def test_criterion_6_urn_variance_structure():
 
 def _e6_family(seed, runs=10, n=10_000):
     return [
-        Sample(run_box_experiment(BoxKind.PURE_E6, UrnState(50, 50), n, substream(seed, i + 1)), f"S{i}")
+        Sample(OutcomeLaw("box:E6", {"n_blue": 50, "n_red": 50, "n": n}).series(substream(seed, i + 1)), f"S{i}")
         for i in range(runs)
     ]
 
 
 def test_criterion_7_purity_discrimination():
     perturbed = [
-        Sample(run_box_experiment(BoxKind.MIXED_E5, UrnState(50, 50), 10_000, substream(700, i + 1)), f"even{i}")
+        Sample(OutcomeLaw("box:E5", {"n_blue": 50, "n_red": 50, "n": 10_000}).series(substream(700, i + 1)), f"even{i}")
         for i in range(5)
     ] + [
-        Sample(run_box_experiment(BoxKind.MIXED_E5, UrnState(4, 6), 10_000, substream(700, i + 6)), f"skew{i}")
+        Sample(OutcomeLaw("box:E5", {"n_blue": 4, "n_red": 6, "n": 10_000}).series(substream(700, i + 6)), f"skew{i}")
         for i in range(5)
     ]
     mixed = purity_verdict(perturbed, [Reduction.thin(0.5)], 5, 0.05, master_seed=700)
@@ -171,13 +171,13 @@ def test_criterion_7_purity_discrimination():
 
 
 def test_criterion_8_randomness_tests():
-    d2 = run_device(DeviceKind.D2_ALTERNATING, CoinFace.B, 100, substream(8, 0))
+    d2 = OutcomeLaw("device:D2", {"initial_face": "B", "n": 100}).series(substream(8, 0))
     d2_report = runs_test(d2, 0.01)
     ok = d2_report.p_value < 1e-15
 
     alpha, reps, n = 0.05, 1000, 10_000
     rejections = sum(
-        runs_test(run_device(DeviceKind.D3_BERNOULLI, CoinFace.B, n, substream(seed, 1)), alpha).reject
+        runs_test(OutcomeLaw("device:D3", {"initial_face": "B", "n": n}).series(substream(seed, 1)), alpha).reject
         for seed in range(reps)
     )
     rate = rejections / reps

@@ -242,6 +242,21 @@ class TestPurityCommand:
             assert code == 4, third_line
             assert "line 3" in capsys.readouterr().err, third_line
 
+    def test_malformed_file_among_inputs_is_named(self, tmp_path, capsys):
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"kind": "header", "n": 1}\n{"index": 0, "outcome": 1}\n')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"kind": "header", "n": 2}\n{"index": 0, "outcome": 1}\nnot json\n')
+        cfg = write_config(tmp_path, {"inputs": ["good.jsonl", "bad.jsonl"], "seed": 0})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "verdict.json").write_text("kept\n")
+        assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "bad.jsonl: line 3" in err and "good.jsonl" not in err
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+        assert (out / "verdict.json").read_text() == "kept\n"
+
     def test_empty_input_series_is_an_input_error(self, tmp_path, capsys):
         data = tmp_path / "series.jsonl"
         data.write_text('{"kind": "header", "n": 2}\n{"index": 0, "outcome": 1}\n'

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import oracles
-from spcelab.coin_lab import BoxKind, CoinFace, DeviceKind, TimeSeries, UrnState, run_box_experiment, run_device
+from spcelab.coin_lab import OutcomeLaw, TimeSeries
 from spcelab import purity
 from spcelab.errors import DomainError
 from spcelab.purity import (
@@ -28,7 +28,7 @@ from spcelab.randkit import substream
 
 
 def fair_series(n, seed, stream=0):
-    return run_device(DeviceKind.D3_BERNOULLI, CoinFace.B, n, substream(seed, stream))
+    return OutcomeLaw("device:D3", {"initial_face": "B", "n": n}).series(substream(seed, stream))
 
 
 def series_from_count(n_blue, n_total):
@@ -102,7 +102,7 @@ class TestRandomSubensemble:
         assert changes <= 1
 
     def test_fraction_tracks_parent(self):
-        parent = run_box_experiment(BoxKind.PURE_E6, UrnState(50, 50), 10_000, substream(6, 0))
+        parent = OutcomeLaw("box:E6", {"n_blue": 50, "n_red": 50, "n": 10_000}).series(substream(6, 0))
         sub = random_subensemble(parent, 0.4, substream(6, 1))
         m, n = len(sub), len(parent)
         p = parent.fraction_b
@@ -145,8 +145,8 @@ class TestChi2Homogeneity:
         assert abs(rejections - 0.05 * reps) < 3 * sigma
 
     def test_power_against_composition_shift(self):
-        e5_even = run_box_experiment(BoxKind.MIXED_E5, UrnState(50, 50), 10_000, substream(9, 0))
-        e5_skew = run_box_experiment(BoxKind.MIXED_E5, UrnState(4, 6), 10_000, substream(9, 1))
+        e5_even = OutcomeLaw("box:E5", {"n_blue": 50, "n_red": 50, "n": 10_000}).series(substream(9, 0))
+        e5_skew = OutcomeLaw("box:E5", {"n_blue": 4, "n_red": 6, "n": 10_000}).series(substream(9, 1))
         report = chi2_homogeneity([e5_even, e5_skew], 0.05)
         assert report.reject
         assert report.p_value < 1e-6
@@ -227,7 +227,7 @@ class TestKsTwoSample:
 
 class TestRunsTest:
     def test_alternating_series_strongly_rejected(self):
-        series = run_device(DeviceKind.D2_ALTERNATING, CoinFace.B, 100, substream(12, 0))
+        series = OutcomeLaw("device:D2", {"initial_face": "B", "n": 100}).series(substream(12, 0))
         mu, sigma = oracles.runs_moments(50, 50)
         assert (mu, sigma) == (51.0, pytest.approx(4.97468338163091))
         report = runs_test(series, 0.01)
@@ -237,7 +237,7 @@ class TestRunsTest:
         assert report.reject
 
     def test_constant_series_is_undefined(self):
-        series = run_device(DeviceKind.D1_FLIP, CoinFace.B, 100, substream(0, 0))
+        series = OutcomeLaw("device:D1", {"initial_face": "B", "n": 100}).series(substream(0, 0))
         with pytest.raises(DomainError):
             runs_test(series, 0.05)
 
@@ -288,7 +288,7 @@ class TestHolm:
 
 def e6_family(seed, runs=10, n=10_000):
     return [
-        Sample(run_box_experiment(BoxKind.PURE_E6, UrnState(50, 50), n, substream(seed, i + 1)), f"S{i}")
+        Sample(OutcomeLaw("box:E6", {"n_blue": 50, "n_red": 50, "n": n}).series(substream(seed, i + 1)), f"S{i}")
         for i in range(runs)
     ]
 
@@ -303,10 +303,10 @@ class TestPurityVerdict:
 
     def test_perturbed_mixture_detected(self):
         samples = [
-            Sample(run_box_experiment(BoxKind.MIXED_E5, UrnState(50, 50), 10_000, substream(17, i + 1)), f"even{i}")
+            Sample(OutcomeLaw("box:E5", {"n_blue": 50, "n_red": 50, "n": 10_000}).series(substream(17, i + 1)), f"even{i}")
             for i in range(5)
         ] + [
-            Sample(run_box_experiment(BoxKind.MIXED_E5, UrnState(4, 6), 10_000, substream(17, i + 6)), f"skew{i}")
+            Sample(OutcomeLaw("box:E5", {"n_blue": 4, "n_red": 6, "n": 10_000}).series(substream(17, i + 6)), f"skew{i}")
             for i in range(5)
         ]
         verdict = purity_verdict(samples, [Reduction.thin(0.5)], 5, 0.05, master_seed=17)
@@ -327,7 +327,7 @@ class TestPurityVerdict:
     def test_identical_distributions_never_mixed(self):
         # alternating members fail the randomness test but carry identical
         # outcome distributions: that must not be called a mixture
-        base = run_device(DeviceKind.D2_ALTERNATING, CoinFace.B, DEFAULT_POWER_FLOOR, substream(13, 0))
+        base = OutcomeLaw("device:D2", {"initial_face": "B", "n": DEFAULT_POWER_FLOOR}).series(substream(13, 0))
         samples = [Sample(base, "a"), Sample(TimeSeries(base.values.copy()), "b")]
         verdict = purity_verdict(samples, [], 0, 0.05, master_seed=13)
         assert verdict.verdict is Verdict.INCONCLUSIVE
