@@ -27,58 +27,3 @@ cli
 __version__ = "0.3.0"
 
 from .errors import ConfigError, DomainError, FormatError
-from .randkit import (
-    CapSpec,
-    Direction,
-    RngStream,
-    angle_between,
-    hypergeometric_step_prob,
-    sample_cap,
-    stream_uniforms,
-    substream,
-    uniform_direction,
-)
-from .coin_lab import (
-    OutcomeLaw,
-    TimeSeries,
-    UrnState,
-    read_timeseries_jsonl,
-    regenerate_series,
-    remove_coins,
-    sample_runs,
-    write_timeseries_jsonl,
-)
-from .spce import (
-    BoundCheck,
-    ExperimentRun,
-    LambdaModel,
-    Polarizer,
-    SharedLambdaRun,
-    ch_factorized_probability,
-    chsh,
-    correlator_stderr,
-    empirical_correlator,
-    factorized_correlator,
-    independent_bound_check,
-    passage_probability,
-    record_directions,
-    run_experiment,
-    run_shared_lambda_model,
-    singlet_joint_probs,
-    write_run_jsonl,
-)
-from .purity import (
-    PurityVerdict,
-    Reduction,
-    Sample,
-    TestReport,
-    Verdict,
-    chi2_homogeneity,
-    holm_adjust,
-    purity_verdict,
-    random_subensemble,
-    reduce_intensity,
-    runs_test,
-)
-from .bertrand import Machine, ProbabilityEstimate, estimate_probability
-from .qkd import KeyPair, ekert_test_statistic, generate_keys, mismatch_rate

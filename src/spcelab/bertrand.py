@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .randkit import substream
+from .randkit import stream_blocks, substream
 
 #: Outer circle radius (canonical) and the inner hit radius.
 RADIUS = 1.0
@@ -68,41 +68,24 @@ def _batch_degenerate(machine: Machine, u: np.ndarray) -> np.ndarray:
     return np.zeros(len(u), dtype=bool)
 
 
-#: Trials per block of :func:`estimate_probability`: a (2^16, 2) block of uniforms is 1 MiB.
-TRIAL_CHUNK = 1 << 16
-
-
 def estimate_probability(machine: Machine, n: int, master_seed, stream_id=None) -> ProbabilityEstimate:
     """Hit fraction over ``n`` independent trials, with its binomial standard error.
 
     Trials consume consecutive uniform pairs of the stream keyed by
     ``(master_seed, stream_id)``: trial ``i`` takes the ``i``-th pair, and a
     degenerate pair (no unique chord) is re-drawn after all ``n`` in trial
-    order.  ``stream_id`` defaults to the
+    order (see ``randkit.stream_blocks``).  ``stream_id`` defaults to the
     machine's index so one master seed runs all machines independently.
-    Draws :data:`TRIAL_CHUNK` trials at a time and keeps only the hit count.
+    Draws the trials in blocks and keeps only the hit count.
     """
     if n < 1:
         raise DomainError(f"trial count must be >= 1, got {n}")
     n = int(n)
     if stream_id is None:
         stream_id = STREAM_IDS[machine]
-    rng = substream(master_seed, stream_id)
-    hits = redraws = 0
-    for start in range(0, n, TRIAL_CHUNK):
-        u = rng.random((min(TRIAL_CHUNK, n - start), 2))
-        degenerate = _batch_degenerate(machine, u)
-        redraws += int(np.count_nonzero(degenerate))
-        hits += int(np.count_nonzero(_batch_hits(machine, u) & ~degenerate))
-    if redraws:
-        # re-drawing the degenerate trials after the main pass, in trial order, consumes
-        # the stream exactly as one draw of all n trials followed by its re-draws
-        u = rng.random((redraws, 2))
-        degenerate = _batch_degenerate(machine, u)
-        while np.any(degenerate):
-            u[degenerate] = rng.random((int(np.sum(degenerate)), 2))
-            degenerate = _batch_degenerate(machine, u)
-        hits += int(np.count_nonzero(_batch_hits(machine, u)))
+    blocks = stream_blocks(substream(master_seed, stream_id), n, 2,
+                           lambda u: (_batch_hits(machine, u), _batch_degenerate(machine, u)))
+    hits = sum(int(np.count_nonzero(block)) for block in blocks)
     p_hat = hits / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return ProbabilityEstimate(machine, n, p_hat, stderr, int(master_seed))

@@ -27,9 +27,14 @@ _U64_MAX = 2**64 - 1
 UNIT_NORM_TOL = 1e-12
 
 
-def _check_u64(value, name):
-    if not isinstance(value, (int, np.integer)):
+def _check_int(value, name):
+    # bool is an int subclass, but True is not a seed, a stream id or a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _check_u64(value, name):
+    _check_int(value, name)
     if not 0 <= int(value) <= _U64_MAX:
         raise DomainError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     return int(value)
@@ -72,6 +77,41 @@ def substream(master_seed, stream_id) -> RngStream:
     identical sequences, independent of worker count or call order.
     """
     return RngStream(master_seed, stream_id)
+
+
+#: Rows per block of :func:`stream_blocks`: a (2^16, 5) block of uniforms is 2.5 MiB.
+BLOCK_ROWS = 1 << 16
+
+
+def stream_blocks(rng, n, width, mapping=None):
+    """Draw ``n`` rows of ``width`` uniforms from ``rng``, at most :data:`BLOCK_ROWS` rows at a time.
+
+    Without ``mapping``, yields the ``(m, width)`` blocks of uniforms; together
+    they are the rows of ``rng.random((n, width))``.  With ``mapping``, a
+    callable ``block -> (values, degenerate)`` whose outputs are indexed by
+    row, yields the values of each block's non-degenerate rows.  The dropped
+    rows are re-drawn after the main pass, in row order, and any row still
+    degenerate is re-drawn again until none is; their values come last.  The
+    stream is consumed exactly as by one draw of all ``n`` rows followed by
+    the same re-draws, so the block size never changes a result.
+    """
+    redraws = 0
+    for start in range(0, n, BLOCK_ROWS):
+        u = rng.random((min(BLOCK_ROWS, n - start), width))
+        if mapping is None:
+            yield u
+            continue
+        values, degenerate = mapping(u)
+        dropped = int(np.count_nonzero(degenerate))
+        redraws += dropped
+        yield values[~degenerate] if dropped else values
+    if redraws:
+        u = rng.random((redraws, width))
+        values, degenerate = mapping(u)
+        while np.any(degenerate):
+            u[degenerate] = rng.random((int(np.count_nonzero(degenerate)), width))
+            values, degenerate = mapping(u)
+        yield values
 
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
@@ -171,9 +211,6 @@ class Direction:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def dot(self, other: "Direction") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
 
     def __neg__(self) -> "Direction":
         return Direction(-self.x, -self.y, -self.z)
@@ -294,8 +331,7 @@ def hypergeometric_step_prob(k, m, n_per_color) -> float:
     ``(n_per_color - m) / (2 * n_per_color - k)``.
     """
     for name, value in (("k", k), ("m", m), ("n_per_color", n_per_color)):
-        if not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
+        _check_int(value, name)
     k, m, n = int(k), int(m), int(n_per_color)
     if n <= 0:
         raise DomainError(f"n_per_color must be positive, got {n}")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .randkit import (
+    _FULL_SPHERE,
     CapSpec,
     Direction,
     RngStream,
@@ -35,6 +36,7 @@ from .randkit import (
     _cap_frame,
     _cap_from_uniforms,
     angle_between,
+    stream_blocks,
     substream,
     uniform_direction,
 )
@@ -84,13 +86,13 @@ class ExperimentRun:
 
 @dataclass
 class SharedLambdaRun:
-    """Hidden directions reused across all four settings of a counterfactual run."""
+    """The pair count and the four settings of a shared-hidden-direction run; its directions are not kept."""
 
-    lambdas: np.ndarray
+    n: int
     settings: dict
 
     def __len__(self):
-        return int(self.lambdas.shape[0])
+        return self.n
 
 
 def singlet_joint_probs(a, b) -> np.ndarray:
@@ -108,12 +110,8 @@ def singlet_joint_probs(a, b) -> np.ndarray:
     return np.array([p_same, p_diff, p_diff, p_same])
 
 
-#: Pairs per block of the pair kernel: a (2^16, 5) block of uniforms is 2.5 MiB.
-PAIR_CHUNK = 1 << 16
-
-
 def _pair_blocks(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream_id, width):
-    """Yield ``(start, uniforms, cos_ab)`` for ``n`` pairs, at most :data:`PAIR_CHUNK` at a time.
+    """Yield ``(uniforms, cos_ab)`` for ``n`` pairs, in the blocks of ``randkit.stream_blocks``.
 
     Pair ``i`` consumes the ``width`` uniforms at positions ``width i ..`` of
     the keyed stream; the first four are (cap A cosine, cap A azimuth, cap B
@@ -121,15 +119,13 @@ def _pair_blocks(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream
     ``beta`` the caps' coordinates in their frames ``F_A`` and ``F_B`` (see
     ``randkit._cap_coefficients``), ``cos(theta_ab) = alpha . (F_A F_B^T) beta``.
     """
-    rng = substream(master_seed, stream_id)
     gram = _cap_frame(pol_a.cap) @ _cap_frame(pol_b.cap).T
-    for start in range(0, n, PAIR_CHUNK):
-        u = rng.random((min(PAIR_CHUNK, n - start), width))
+    for u in stream_blocks(substream(master_seed, stream_id), n, width):
         xa, ya, za = _cap_coefficients(pol_a.cap, u[:, 0], u[:, 1])
         beta = _cap_coefficients(pol_b.cap, u[:, 2], u[:, 3])
         # column j of the Gram matrix gives the j-th coordinate of alpha F_A F_B^T
         cos_ab = sum((xa * g[0] + ya * g[1] + za * g[2]) * b for g, b in zip(gram.T, beta))
-        yield start, u, cos_ab
+        yield u, cos_ab
 
 
 def _outcomes_from_uniform(cos_ab, u, s1, s2):
@@ -164,9 +160,11 @@ def run_experiment(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stre
     n = int(n)
     s1 = np.empty(n, dtype=np.int8)
     s2 = np.empty(n, dtype=np.int8)
-    for start, u, cos_ab in _pair_blocks(pol_a, pol_b, n, master_seed, stream_id, 5):
+    start = 0
+    for u, cos_ab in _pair_blocks(pol_a, pol_b, n, master_seed, stream_id, 5):
         stop = start + len(u)
         _outcomes_from_uniform(cos_ab, u[:, 4], s1[start:stop], s2[start:stop])
+        start = stop
     return ExperimentRun(pol_a, pol_b, s1, s2, int(master_seed), int(stream_id))
 
 
@@ -174,7 +172,7 @@ def record_directions(run: ExperimentRun, count=None):
     """Yield the microscopic directions ``(a, b)`` of the first ``count`` pairs of a run.
 
     Rebuilt from the run's stream exactly as :func:`run_experiment` drew
-    them, in blocks of two ``(m, 3)`` arrays of at most :data:`PAIR_CHUNK`
+    them, in blocks of two ``(m, 3)`` arrays of at most ``randkit.BLOCK_ROWS``
     rows; ``count`` defaults to the whole run.
     """
     count = len(run) if count is None else min(len(run), int(count))
@@ -182,9 +180,7 @@ def record_directions(run: ExperimentRun, count=None):
         return
     if run.master_seed is None:
         raise DomainError("a run without a stream key cannot rebuild its directions")
-    rng = substream(run.master_seed, run.stream_id)
-    for start in range(0, count, PAIR_CHUNK):
-        u = rng.random((min(PAIR_CHUNK, count - start), 5))
+    for u in stream_blocks(substream(run.master_seed, run.stream_id), count, 5):
         yield (_cap_from_uniforms(run.pol_a.cap, u[:, 0], u[:, 1]),
                _cap_from_uniforms(run.pol_b.cap, u[:, 2], u[:, 3]))
 
@@ -221,7 +217,7 @@ def passage_probability(pol_a: Polarizer, pol_b: Polarizer, method="quadrature",
         if n < 1:
             raise DomainError(f"pair count must be >= 1, got {n}")
         blocks = _pair_blocks(pol_a, pol_b, int(n), master_seed, stream_id, 4)
-        return math.fsum(float(np.sum(0.25 * (1.0 - cos_ab))) for _, _, cos_ab in blocks) / int(n)
+        return math.fsum(float(np.sum(0.25 * (1.0 - cos_ab))) for _, cos_ab in blocks) / int(n)
     if method == "quadrature":
         pts_a, w_a = _cap_quadrature(pol_a.cap, nodes)
         pts_b, w_b = _cap_quadrature(pol_b.cap, nodes)
@@ -267,31 +263,30 @@ def run_shared_lambda_model(a: Direction, a_prime: Direction, b: Direction, b_pr
 
     Returns ``(SharedLambdaRun, correlators)`` with correlator keys
     :data:`SETTING_PAIRS`.  Directions exactly orthogonal to a setting are
-    re-drawn (a measure-zero event).
+    re-drawn (a measure-zero event) as ``randkit.stream_blocks`` re-draws
+    degenerate rows.  Only the four sums of sign products are kept: they are
+    exact integers, so each correlator equals the mean of the materialized
+    products bit for bit.
     """
     if n < 1:
         raise DomainError(f"pair count must be >= 1, got {n}")
+    n = int(n)
     settings = {"A": a, "A'": a_prime, "B": b, "B'": b_prime}
     setting_matrix = np.stack([s.as_array() for s in settings.values()])
-    rng = substream(master_seed, stream_id)
-    lambdas = uniform_direction(rng, size=int(n))
-    dots = lambdas @ setting_matrix.T
-    degenerate = np.any(dots == 0.0, axis=1)
-    while np.any(degenerate):
-        count = int(np.sum(degenerate))
-        lambdas[degenerate] = uniform_direction(rng, size=count)
-        dots[degenerate] = lambdas[degenerate] @ setting_matrix.T
-        degenerate = np.any(dots == 0.0, axis=1)
-    signs = np.where(dots > 0.0, 1, -1).astype(np.int8)
-    # r(X, Y) = -mean(s1(X) * s2(Y)) with s2 = -s1, i.e. +mean(sign_X * sign_Y).
-    s = signs.astype(np.float64)
-    correlators = {
-        "AB": float(np.mean(s[:, 0] * s[:, 2])),
-        "AB'": float(np.mean(s[:, 0] * s[:, 3])),
-        "A'B": float(np.mean(s[:, 1] * s[:, 2])),
-        "A'B'": float(np.mean(s[:, 1] * s[:, 3])),
-    }
-    return SharedLambdaRun(lambdas, settings), correlators
+
+    def dots(u):
+        # one mapping per block, so the degeneracy test and the signs see the same dot products
+        d = _cap_from_uniforms(_FULL_SPHERE, u[:, 0], u[:, 1]) @ setting_matrix.T
+        return d, np.any(d == 0.0, axis=1)
+
+    # r(X, Y) = -mean(s1(X) * s2(Y)) with s2 = -s1, i.e. +mean(sign_X * sign_Y):
+    # each pair adds +1, or -1 where the signs of its two settings disagree
+    disagree = np.zeros(len(SETTING_PAIRS), dtype=np.int64)
+    for d in stream_blocks(substream(master_seed, stream_id), n, 2, dots):
+        positive = d > 0.0
+        disagree += np.count_nonzero(positive[:, [0, 0, 1, 1]] != positive[:, [2, 3, 2, 3]], axis=0)
+    correlators = {key: (n - 2 * int(k)) / n for key, k in zip(SETTING_PAIRS, disagree)}
+    return SharedLambdaRun(n, settings), correlators
 
 
 @dataclass

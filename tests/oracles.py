@@ -27,7 +27,7 @@ from spcelab.purity import (
     reduce_intensity,
     runs_test,
 )
-from spcelab.randkit import RngStream, _cap_from_uniforms, substream
+from spcelab.randkit import CapSpec, Direction, RngStream, _cap_from_uniforms, substream
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,52 @@ def materialized_run(pol_a, pol_b, n, master_seed, stream_id=0):
     b = _cap_from_uniforms(pol_b.cap, u[:, 2], u[:, 3])
     s1, s2 = singlet_outcomes(np.einsum("ij,ij->i", a, b), u[:, 4])
     return a, b, s1, s2
+
+
+class ScriptedStream:
+    """A stream that serves a fixed sequence of uniforms and counts what it served."""
+
+    def __init__(self, values):
+        self.values = values
+        self.position = 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.position:self.position + count].reshape(size)
+        self.position += count
+        return out.copy()
+
+
+# ---------------------------------------------------------------------------
+# the shared-hidden-direction model with its directions built in full: the
+# one-draw twin of spce.run_shared_lambda_model
+
+SPHERE = CapSpec(Direction(0.0, 0.0, 1.0), 2.0)
+
+
+def materialized_shared_lambda(a, a_prime, b, b_prime, n, rng):
+    """Correlators of ``n`` shared-direction pairs from one ``(n, 2)`` draw of ``rng``.
+
+    Every direction and sign is kept.  Directions orthogonal to a setting are
+    re-drawn together, in row order, until none is.
+    """
+    setting_matrix = np.stack([x.as_array() for x in (a, a_prime, b, b_prime)])
+    uv = rng.random((int(n), 2))
+    lambdas = _cap_from_uniforms(SPHERE, uv[:, 0], uv[:, 1])
+    dots = lambdas @ setting_matrix.T
+    degenerate = np.any(dots == 0.0, axis=1)
+    while np.any(degenerate):
+        uv = rng.random((int(np.sum(degenerate)), 2))
+        lambdas[degenerate] = _cap_from_uniforms(SPHERE, uv[:, 0], uv[:, 1])
+        dots[degenerate] = lambdas[degenerate] @ setting_matrix.T
+        degenerate = np.any(dots == 0.0, axis=1)
+    s = np.where(dots > 0.0, 1, -1).astype(np.float64)
+    return {
+        "AB": float(np.mean(s[:, 0] * s[:, 2])),
+        "AB'": float(np.mean(s[:, 0] * s[:, 3])),
+        "A'B": float(np.mean(s[:, 1] * s[:, 2])),
+        "A'B'": float(np.mean(s[:, 1] * s[:, 3])),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import chord_hits_m1, chord_hits_m2, chord_hits_m3, machine_m1, machine_m2, machine_m3, run_trial
-from spcelab import bertrand
+from oracles import (
+    ScriptedStream,
+    chord_hits_m1,
+    chord_hits_m2,
+    chord_hits_m3,
+    machine_m1,
+    machine_m2,
+    machine_m3,
+    run_trial,
+)
+from spcelab import bertrand, randkit
 from spcelab.bertrand import (
     INNER_RADIUS,
-    TRIAL_CHUNK,
     Machine,
     _batch_degenerate,
     _batch_hits,
     estimate_probability,
 )
 from spcelab.errors import DomainError
-from spcelab.randkit import substream
+from spcelab.randkit import BLOCK_ROWS, substream
 
 EXPECTED = {Machine.M1: 0.5, Machine.M2: 1.0 / 3.0, Machine.M3: 0.25}
 
@@ -85,7 +93,7 @@ class TestEstimates:
 
     @pytest.mark.parametrize("machine", list(Machine))
     def test_estimate_agrees_with_geometric_oracle(self, machine):
-        n = TRIAL_CHUNK + 34_465  # crosses a block edge
+        n = BLOCK_ROWS + 34_465  # crosses a block edge
         est = estimate_probability(machine, n, master_seed=73, stream_id=5)
         u = substream(73, 5).random((n, 2))
         assert not np.any(_batch_degenerate(machine, u))
@@ -130,22 +138,8 @@ def one_draw_p_hat(machine, n, rng):
     return float(np.mean(_batch_hits(machine, u)))
 
 
-class ScriptedStream:
-    """A stream that serves a fixed sequence of uniforms and counts what it served."""
-
-    def __init__(self, values):
-        self.values = values
-        self.position = 0
-
-    def random(self, size):
-        count = int(np.prod(size))
-        out = self.values[self.position:self.position + count].reshape(size)
-        self.position += count
-        return out.copy()
-
-
 class TestBlockedEstimate:
-    @pytest.mark.parametrize("n", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 3 * TRIAL_CHUNK + 7])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
     @pytest.mark.parametrize("machine", list(Machine))
     def test_blocks_match_one_draw(self, machine, n):
         est = estimate_probability(machine, n, master_seed=2**64 - 1, stream_id=9)
@@ -162,7 +156,7 @@ class TestBlockedEstimate:
             else:
                 values[2 * trial] = 0.0
         blocked = ScriptedStream(values)
-        monkeypatch.setattr(bertrand, "TRIAL_CHUNK", 5)
+        monkeypatch.setattr(randkit, "BLOCK_ROWS", 5)
         monkeypatch.setattr(bertrand, "substream", lambda seed, stream_id: blocked)
         est = estimate_probability(machine, n, master_seed=0)
         one_draw = ScriptedStream(values)

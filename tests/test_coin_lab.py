@@ -231,6 +231,13 @@ class TestOutcomeLaw:
         with pytest.raises(DomainError, match=message):
             regenerate_series(meta)
 
+    @pytest.mark.parametrize("key", [{"master_seed": True, "stream_id": 0},
+                                     {"master_seed": 1, "stream_id": False}])
+    def test_bool_stream_key_rejected(self, key):
+        meta = {**key, "generator_id": "device:D3", "params": {"initial_face": "B", "n": 5}}
+        with pytest.raises(DomainError, match="must be an integer, got bool"):
+            regenerate_series(meta)
+
     def test_keeps_only_the_params_it_reads(self):
         law = OutcomeLaw("device:D2", {"initial_face": "R", "n": 3, "n_blue": 4, "n_red": 1})
         assert law.params == {"initial_face": "R", "n": 3}

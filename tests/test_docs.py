@@ -1,4 +1,4 @@
-"""The README's module table names only API that exists."""
+"""The README's module table names only API that exists, and the package has one version."""
 
 import importlib
 import re
@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import spcelab
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _module_rows():
@@ -27,3 +30,9 @@ def test_backticked_names_exist(module, contents):
     names = [n for n in re.findall(r"`([^`]+)`", contents) if re.fullmatch(r"[A-Za-z_]\w*", n)]
     missing = [name for name in names if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{module} has no {', '.join(missing)}"
+
+
+def test_artifact_version_is_the_package_version():
+    # manifests record spcelab.__version__ as artifact_version; a bump must edit both places
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [spcelab.__version__]

@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import spcelab
 from spcelab.errors import DomainError
 from spcelab.purity import runs_test
 from spcelab.qkd import (
@@ -14,8 +20,8 @@ from spcelab.qkd import (
     keys_to_json,
     mismatch_rate,
 )
-from spcelab.randkit import Direction
-from spcelab.spce import PAIR_CHUNK, Polarizer
+from spcelab.randkit import BLOCK_ROWS, Direction
+from spcelab.spce import Polarizer
 
 AXIS = Direction.from_plane_angle(20.0)
 STANDARD = tuple(Direction.from_plane_angle(d) for d in (0.0, 90.0, 45.0, 135.0))
@@ -54,7 +60,7 @@ class TestGenerateKeys:
 
     def test_bits_are_the_outcome_signs(self):
         # Alice's bit is (s1 + 1) / 2, Bob's (1 - s2) / 2, over several kernel blocks
-        n = 3 * PAIR_CHUNK + 7
+        n = 3 * BLOCK_ROWS + 7
         keys = generate_keys(AXIS, n, 0.3, 0.1, master_seed=8, stream_id=2)
         _, _, s1, s2 = oracles.materialized_run(Polarizer.from_axis(AXIS, 0.3),
                                                 Polarizer.from_axis(AXIS, 0.1), n, 8, 2)
@@ -116,6 +122,31 @@ class TestEkertStatistic:
     def test_zero_test_rounds_rejected(self):
         with pytest.raises(DomainError):
             ekert_test_statistic(*STANDARD, 0, 0.0, 0.0, master_seed=0)
+
+    def test_adversary_peaks_within_the_clean_channel(self, tmp_path):
+        # 10^6 key pairs and 250,000 test pairs: a materialized adversary sample would add about 14 MB
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for the peak resident set")
+        script = (
+            "import sys\n"
+            "from spcelab.cli import main\n"
+            "code = main(['qkd', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
+            "print(code, status)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spcelab.__file__).resolve().parents[1])}
+        peak_kb = {}
+        for adversary in (False, True):
+            cfg = tmp_path / f"qkd-{adversary}.json"
+            cfg.write_text(json.dumps({"axis": 0, "epsilon": [0.1, 0.1], "n": 1_000_000, "seed": 1,
+                                       "test": {"axes": {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135},
+                                                "n": 250_000, "adversary": adversary}}))
+            result = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / f"out-{adversary}")],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            code, peak_kb[adversary] = map(int, result.stdout.splitlines()[-1].split())
+            assert code == 0
+        assert peak_kb[True] <= peak_kb[False] + 5 * 1024
 
 
 class TestSerialization:

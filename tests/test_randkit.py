@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
+from spcelab import randkit
 from spcelab.errors import DomainError
 from spcelab.purity import runs_test
 from spcelab.randkit import (
+    BLOCK_ROWS,
     CapSpec,
     Direction,
     angle_between,
     hypergeometric_step_prob,
     sample_cap,
+    stream_blocks,
     stream_uniforms,
     substream,
     uniform_direction,
@@ -55,6 +58,44 @@ class TestStreams:
             substream(0, 2**64)
         with pytest.raises(DomainError):
             substream(1.5, 0)
+
+    def test_bool_keys_rejected(self):
+        for master_seed, stream_id in ((True, False), (0, True), (False, 0)):
+            with pytest.raises(DomainError, match="must be an integer, got bool"):
+                substream(master_seed, stream_id)
+        with pytest.raises(DomainError, match="must be an integer, got bool"):
+            stream_uniforms(True, [0], 4)
+        with pytest.raises(DomainError, match="must be an integer, got bool"):
+            stream_uniforms(0, [0], True)
+
+
+class TestStreamBlocks:
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+    def test_blocks_are_the_rows_of_one_draw(self, n):
+        blocks = list(stream_blocks(substream(2**64 - 1, 3), n, 3))
+        assert all(0 < len(u) <= BLOCK_ROWS for u in blocks)
+        one_draw = substream(2**64 - 1, 3).random((n, 3))
+        np.testing.assert_array_equal(np.concatenate([np.empty((0, 3)), *blocks]), one_draw)
+
+    def test_degenerate_rows_are_redrawn_after_the_main_pass(self, monkeypatch):
+        monkeypatch.setattr(randkit, "BLOCK_ROWS", 7)
+        n, width = 50, 2
+
+        def mapping(u):
+            return u.sum(axis=1), u[:, 0] < 0.3
+
+        rng = substream(4, 1)
+        values = np.concatenate(list(stream_blocks(rng, n, width, mapping)))
+        reference = substream(4, 1)
+        u = reference.random((n, width))
+        kept = u[:, 0] >= 0.3
+        redrawn = reference.random((n - int(kept.sum()), width))
+        while np.any(redrawn[:, 0] < 0.3):
+            bad = redrawn[:, 0] < 0.3
+            redrawn[bad] = reference.random((int(bad.sum()), width))
+        assert len(redrawn) > 7
+        np.testing.assert_array_equal(values, np.concatenate([u[kept].sum(axis=1), redrawn.sum(axis=1)]))
+        assert rng.random() == reference.random()
 
 
 class TestStreamUniforms:
@@ -194,3 +235,9 @@ class TestHypergeometricStep:
             hypergeometric_step_prob(9, 2, 5)  # k - m > N
         with pytest.raises(DomainError):
             hypergeometric_step_prob(0.5, 0, 5)
+
+    def test_bool_arguments_rejected(self):
+        with pytest.raises(DomainError, match="k must be an integer, got bool"):
+            hypergeometric_step_prob(True, False, 2)
+        with pytest.raises(DomainError, match="n_per_color must be an integer, got bool"):
+            hypergeometric_step_prob(1, 0, True)

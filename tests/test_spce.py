@@ -12,9 +12,9 @@ import pytest
 import oracles
 import spcelab
 from spcelab.errors import DomainError
-from spcelab.randkit import CapSpec, Direction, _cap_from_uniforms, substream
+from spcelab import randkit, spce
+from spcelab.randkit import BLOCK_ROWS, CapSpec, Direction, _cap_from_uniforms, substream
 from spcelab.spce import (
-    PAIR_CHUNK,
     ExperimentRun,
     LambdaModel,
     Polarizer,
@@ -146,7 +146,7 @@ class TestRunExperiment:
 
 
 #: Pair counts around the kernel's block boundaries.
-BLOCK_EDGES = (1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 3 * PAIR_CHUNK + 7)
+BLOCK_EDGES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7)
 
 #: Polarizer pairs for the kernel checks: sharp, smeared, full sphere, aligned, antiparallel, 3-D axes.
 KERNEL_POLARIZERS = (
@@ -170,12 +170,12 @@ class TestPairKernel:
 
     def test_record_directions_are_the_streams_cap_points(self):
         p_a, p_b = KERNEL_POLARIZERS[3]
-        n = 2 * PAIR_CHUNK + 3
+        n = 2 * BLOCK_ROWS + 3
         run = run_experiment(p_a, p_b, n, master_seed=31, stream_id=5)
         u = substream(31, 5).random((n, 5))
-        for count in (0, 1, PAIR_CHUNK, PAIR_CHUNK + 1, n, n + 10):
+        for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, n, n + 10):
             blocks = list(record_directions(run, count))
-            assert all(len(a) <= PAIR_CHUNK for a, _ in blocks)
+            assert all(len(a) <= BLOCK_ROWS for a, _ in blocks)
             if min(count, n) == 0:
                 assert blocks == []
                 continue
@@ -186,7 +186,7 @@ class TestPairKernel:
 
     def test_serialized_records_carry_the_rebuilt_directions(self):
         p_a, p_b = KERNEL_POLARIZERS[2]
-        n = PAIR_CHUNK + 2
+        n = BLOCK_ROWS + 2
         run = run_experiment(p_a, p_b, n, master_seed=3, stream_id=1)
         a, b, s1, s2 = oracles.materialized_run(p_a, p_b, n, 3, 1)
         lines = list(run_to_jsonl_lines(run, record_limit=n - 1))
@@ -295,7 +295,7 @@ class TestPassageProbability:
             passage_probability(pol(0.0), pol(0.0), "exact")
 
     def test_monte_carlo_blocks_match_one_draw_and_quadrature(self):
-        n = 3 * PAIR_CHUNK + 7
+        n = 3 * BLOCK_ROWS + 7
         for p_a, p_b in KERNEL_POLARIZERS:
             mc = passage_probability(p_a, p_b, "monte_carlo", n=n, master_seed=17, stream_id=2)
             u = substream(17, 2).random((n, 4))
@@ -370,11 +370,36 @@ class TestSharedLambdaModel:
         s = chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
         assert abs(s - 2.0) < 0.01
 
-    def test_run_carries_lambdas_and_settings(self):
+    def test_run_carries_count_and_settings(self):
         run, _ = run_shared_lambda_model(Z, Z, Z, Z, 100, master_seed=0)
         assert len(run) == 100
-        np.testing.assert_allclose(np.linalg.norm(run.lambdas, axis=1), 1.0, atol=1e-12)
         assert set(run.settings) == {"A", "A'", "B", "B'"}
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_blocks_match_materialized_run(self, n):
+        plane = tuple(Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
+        spatial = (Direction.normalized(1.0, 2.0, -0.5), Direction.normalized(-0.3, 0.1, 0.9),
+                   Direction.normalized(0.2, -1.0, 0.4), Z)
+        for k, settings in enumerate((plane, spatial)):
+            for seed in (2**64 - 1 - k, 11 + k):
+                _, corr = run_shared_lambda_model(*settings, n, master_seed=seed, stream_id=k)
+                assert corr == oracles.materialized_shared_lambda(*settings, n, substream(seed, k))
+
+    def test_degenerate_pairs_consume_the_stream_as_one_draw(self, monkeypatch):
+        n = 23
+        values = substream(6, 0).random(400)
+        # setting A is +z, so a pair whose cosine uniform is 1/2 has a direction orthogonal to it;
+        # such pairs sit in the first, middle and last block, and among the re-draws
+        for pair in (0, 4, 5, 11, 22, 23, 24, 26):
+            values[2 * pair] = 0.5
+        settings = (Z, *(Direction.from_plane_angle(d) for d in STANDARD_ANGLES[1:]))
+        blocked = oracles.ScriptedStream(values)
+        monkeypatch.setattr(randkit, "BLOCK_ROWS", 5)
+        monkeypatch.setattr(spce, "substream", lambda seed, stream_id: blocked)
+        _, corr = run_shared_lambda_model(*settings, n, master_seed=0)
+        one_draw = oracles.ScriptedStream(values)
+        assert corr == oracles.materialized_shared_lambda(*settings, n, one_draw)
+        assert blocked.position == one_draw.position > 2 * n + 2 * 5
 
 
 def sign_detection(sign):
