@@ -36,7 +36,7 @@ from . import __version__
 from . import bertrand as bertrand_mod
 from . import coin_lab, purity, qkd, spce
 from .errors import ConfigError, DomainError, FormatError
-from .randkit import Direction, substream
+from .randkit import CapSpec, Direction, substream
 
 ENV_OUT_ROOT = "SPCELAB_OUT"
 
@@ -63,6 +63,16 @@ def _reject_constant(token):
     raise ConfigError(f"{token} is not valid JSON")
 
 
+def _finite(parse):
+    """A JSON number parser that rejects a literal beyond the float range, such as ``1e999``."""
+    def number(token):
+        if not math.isfinite(float(token)):
+            shown = token if len(token) <= 24 else token[:21] + "..."
+            raise ConfigError(f"number {shown} is beyond the float range")
+        return parse(token)
+    return number
+
+
 def _load_object(path, what) -> dict:
     """Read a strict-JSON object (a config or a manifest) from ``path``."""
     try:
@@ -70,9 +80,12 @@ def _load_object(path, what) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant,
+                         parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:  # a NaN or out-of-range number: name the file
+        raise ConfigError(f"{what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
     return doc
@@ -134,10 +147,10 @@ def _parse_axis(value, name) -> Direction:
     """An axis is either a plane angle in degrees or an explicit 3-vector."""
     if _is_number(value):
         return Direction.from_plane_angle(float(value))
-    if isinstance(value, (list, tuple)) and len(value) == 3:
+    if isinstance(value, list) and len(value) == 3 and all(_is_number(v) for v in value):
         try:
             return Direction.normalized(*[float(v) for v in value])
-        except (TypeError, ValueError, DomainError) as exc:
+        except DomainError as exc:
             raise ConfigError(f"axis '{name}' is not a usable 3-vector: {exc}") from exc
     raise ConfigError(f"axis '{name}' must be a degree angle or a 3-vector, got {value!r}")
 
@@ -218,11 +231,8 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
     rows = []
     correlators = {}
     for stream_id, (x, y) in enumerate(pairs):
-        run = spce.run_experiment(
-            spce.Polarizer.from_axis(axes[x], epsilons[x]),
-            spce.Polarizer.from_axis(axes[y], epsilons[y]),
-            n, seed, stream_id,
-        )
+        run = spce.run_experiment(CapSpec(axes[x], epsilons[x]), CapSpec(axes[y], epsilons[y]),
+                                  n, seed, stream_id)
         r = spce.empirical_correlator(run)
         correlators[x + y] = r
         rows.append([x + y, r, spce.correlator_stderr(r, n), n])
@@ -451,8 +461,10 @@ def cmd_qkd(cfg, seed, stage: Path, fmt):
         report["chsh"] = {"S": s_value, "n_test": n_test, "adversary": adversary,
                           "low_n": n_test < LOW_N}
 
-    with open(stage / "keys.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(qkd.keys_to_json(keys) + "\n")
+    # each key's bits packed into bytes, zero-padded at the end, as hex
+    _write_json(stage / "keys.json", {"header": keys.meta,
+                                      "alice": np.packbits(keys.alice).tobytes().hex(),
+                                      "bob": np.packbits(keys.bob).tobytes().hex()})
     _write_json(stage / "report.json", report)
     return ["keys.json", "report.json"], EXIT_OK, f"n={n}, mismatch={report['mismatch']:.6f}"
 

@@ -56,26 +56,16 @@ class TimeSeries:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int8)
+        # checked before the int8 cast, which would truncate 1.9 to 1 and turn True into 1
+        values = np.asarray(self.values)
         if values.ndim != 1:
             raise DomainError(f"series values must be one-dimensional, got shape {values.shape}")
-        if values.size and not np.all(np.abs(values) == 1):
+        if values.dtype.kind not in "iuf" or not np.all((values == 1) | (values == -1)):
             raise DomainError("series values must be +1 or -1")
-        self.values = values
+        self.values = values.astype(np.int8, copy=False)
 
     def __len__(self):
         return int(self.values.size)
-
-    @property
-    def fraction_b(self) -> float:
-        """Fraction of +1 (blue) outcomes."""
-        if not len(self):
-            raise DomainError("empty series has no outcome fraction")
-        return float(np.mean(self.values == 1))
-
-    def as_string(self) -> str:
-        """Render as a B/R character string, e.g. ``'RRRRRR'``."""
-        return "".join("B" if v == 1 else "R" for v in self.values)
 
 
 #: Uniforms per pass of :func:`sample_runs`; bounds its working set.
@@ -248,9 +238,7 @@ def timeseries_to_jsonl_lines(series: TimeSeries):
 
 
 def write_timeseries_jsonl(series_list, path):
-    """Write one or more series to a JSONL file, one header per series."""
-    if isinstance(series_list, TimeSeries):
-        series_list = [series_list]
+    """Write a list of series to a JSONL file, one header per series."""
     with open(path, "w", encoding="utf-8") as fh:
         for series in series_list:
             for line in timeseries_to_jsonl_lines(series):

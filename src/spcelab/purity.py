@@ -131,18 +131,6 @@ class Reduction:
         else:
             raise DomainError(f"unknown reduction kind {self.kind!r}")
 
-    @classmethod
-    def thin(cls, q) -> "Reduction":
-        return cls("thin", float(q))
-
-    @classmethod
-    def every_kth(cls, k) -> "Reduction":
-        return cls("every_kth", int(k))
-
-    @classmethod
-    def prefix(cls, fraction) -> "Reduction":
-        return cls("prefix", float(fraction))
-
     def __str__(self):
         if self.kind == "every_kth":
             return f"every_kth({int(self.param)})"

@@ -13,14 +13,13 @@ outcomes caps it at 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .randkit import Direction
-from .spce import Polarizer, chsh, empirical_correlator, run_experiment, run_shared_lambda_model
+from .randkit import CapSpec, Direction
+from .spce import chsh, empirical_correlator, run_experiment, run_shared_lambda_model
 
 
 @dataclass
@@ -54,13 +53,7 @@ def generate_keys(axis: Direction, n: int, eps_a: float, eps_b: float, master_se
     """
     if n < 1:
         raise DomainError(f"key length must be >= 1, got {n}")
-    run = run_experiment(
-        Polarizer.from_axis(axis, eps_a),
-        Polarizer.from_axis(axis, eps_b),
-        n,
-        master_seed,
-        stream_id,
-    )
+    run = run_experiment(CapSpec(axis, eps_a), CapSpec(axis, eps_b), n, master_seed, stream_id)
     alice = run.s1 > 0
     bob = run.s2 < 0
     meta = {
@@ -102,38 +95,7 @@ def ekert_test_statistic(a: Direction, a_prime: Direction, b: Direction, b_prime
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     correlators = []
     for offset, (x, y) in enumerate(pairs):
-        run = run_experiment(
-            Polarizer.from_axis(x, eps_a),
-            Polarizer.from_axis(y, eps_b),
-            n_test,
-            master_seed,
-            stream_base + offset,
-        )
+        run = run_experiment(CapSpec(x, eps_a), CapSpec(y, eps_b), n_test, master_seed,
+                             stream_base + offset)
         correlators.append(empirical_correlator(run))
     return chsh(*correlators)
-
-
-def key_to_hex(bits: np.ndarray) -> str:
-    """Pack a bit array into a hex string (zero-padded to whole bytes)."""
-    return bytes(np.packbits(np.asarray(bits, dtype=np.uint8))).hex()
-
-
-def hex_to_key(hex_string: str, n: int) -> np.ndarray:
-    """Unpack a hex string back into its leading ``n`` bits."""
-    raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
-    return np.unpackbits(raw)[:n].astype(np.uint8)
-
-
-def keys_to_json(keys: KeyPair) -> str:
-    """Serialize a key pair: JSON header plus hex-packed bit strings."""
-    return json.dumps(
-        {"header": keys.meta, "alice": key_to_hex(keys.alice), "bob": key_to_hex(keys.bob)},
-        sort_keys=True,
-        indent=2,
-    )
-
-
-def keys_from_json(text: str) -> KeyPair:
-    doc = json.loads(text)
-    n = doc["header"]["n"]
-    return KeyPair(hex_to_key(doc["alice"], n), hex_to_key(doc["bob"], n), doc["header"])

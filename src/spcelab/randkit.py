@@ -181,7 +181,7 @@ class Direction:
 
     def __post_init__(self):
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
             raise DomainError(f"direction ({self.x}, {self.y}, {self.z}) is not unit length (|v| = {norm})")
 
     @classmethod
@@ -191,13 +191,6 @@ class Direction:
         if norm == 0.0:
             raise DomainError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
-
-    @classmethod
-    def from_array(cls, arr) -> "Direction":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (3,):
-            raise DomainError(f"expected a 3-vector, got shape {arr.shape}")
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
     @classmethod
     def from_plane_angle(cls, degrees) -> "Direction":
@@ -211,9 +204,6 @@ class Direction:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
 
 
 @dataclass(frozen=True)
@@ -276,50 +266,24 @@ def _cap_from_uniforms(cap: CapSpec, u, v):
     return np.multiply.outer(x, e1) + np.multiply.outer(y, e2) + np.multiply.outer(c, axis)
 
 
-def sample_cap(cap: CapSpec, rng: RngStream, size=None):
-    """Draw directions uniformly from a spherical cap.
+def sample_cap(cap: CapSpec, rng: RngStream, size):
+    """Draw ``size`` directions uniformly from a spherical cap, as an ``(size, 3)`` array.
 
-    Parameters
-    ----------
-    cap : CapSpec
-        The cap to sample; ``epsilon = 0`` returns the axis exactly.
-    rng : RngStream
-        Source stream; consumes exactly two uniforms per direction.
-    size : int, optional
-        When given, returns an ``(size, 3)`` array instead of a single
-        :class:`Direction`.
-
-    Notes
-    -----
-    The cosine between a sample and the axis is uniform on
-    ``[1 - epsilon, 1]``, so the mean cosine is ``1 - epsilon / 2`` and the
-    mean sample vector is ``(1 - epsilon / 2) * axis``.
+    Consumes exactly two uniforms of ``rng`` per direction; ``epsilon = 0``
+    returns the axis exactly.  The cosine between a sample and the axis is
+    uniform on ``[1 - epsilon, 1]``, so the mean sample vector is
+    ``(1 - epsilon / 2) * axis``.
     """
-    if size is None:
-        u, v = rng.random(2)
-        return Direction.from_array(_cap_from_uniforms(cap, u, v))
     uv = rng.random((int(size), 2))
     return _cap_from_uniforms(cap, uv[:, 0], uv[:, 1])
 
 
-def uniform_direction(rng: RngStream, size=None):
+def uniform_direction(rng: RngStream, size):
     """Draw directions uniformly on the full sphere (an ``epsilon = 2`` cap)."""
     return sample_cap(_FULL_SPHERE, rng, size=size)
 
 
 _FULL_SPHERE = CapSpec(Direction(0.0, 0.0, 1.0), 2.0)
-
-
-def angle_between(a, b) -> float:
-    """Angle in radians, in [0, pi], between two unit vectors.
-
-    Accepts :class:`Direction` or plain 3-vectors.  The dot product is clamped
-    to [-1, 1] before the arccosine, so floating-point excursions never raise.
-    Symmetric in its arguments.
-    """
-    av = a.as_array() if isinstance(a, Direction) else np.asarray(a, dtype=float)
-    bv = b.as_array() if isinstance(b, Direction) else np.asarray(b, dtype=float)
-    return float(np.arccos(np.clip(av @ bv, -1.0, 1.0)))
 
 
 def hypergeometric_step_prob(k, m, n_per_color) -> float:

@@ -35,42 +35,22 @@ from .randkit import (
     _cap_coefficients,
     _cap_frame,
     _cap_from_uniforms,
-    angle_between,
     stream_blocks,
     substream,
     uniform_direction,
 )
 
 
-@dataclass(frozen=True)
-class Polarizer:
-    """A polarizer: a cap of microscopic directions around a macroscopic axis."""
-
-    cap: CapSpec
-
-    @classmethod
-    def from_axis(cls, axis: Direction, epsilon: float) -> "Polarizer":
-        return cls(CapSpec(axis, epsilon))
-
-    @property
-    def axis(self) -> Direction:
-        return self.cap.axis
-
-    @property
-    def epsilon(self) -> float:
-        return self.cap.epsilon
-
-
 @dataclass
 class ExperimentRun:
-    """N pairs sampled under fixed polarizers: the +/-1 outcome arrays and the stream key.
+    """N pairs sampled under two fixed polarizer caps: the +/-1 outcome arrays and the stream key.
 
     The microscopic directions are not kept; :func:`record_directions`
     rebuilds those of any leading pairs from ``(master_seed, stream_id)``.
     """
 
-    pol_a: Polarizer
-    pol_b: Polarizer
+    pol_a: CapSpec
+    pol_b: CapSpec
     s1: np.ndarray
     s2: np.ndarray
     master_seed: int | None = None
@@ -95,22 +75,7 @@ class SharedLambdaRun:
         return self.n
 
 
-def singlet_joint_probs(a, b) -> np.ndarray:
-    """Joint outcome probabilities for one pair at microscopic settings (a, b).
-
-    Returns the 4-vector over ``(s1, s2)`` in the order
-    ``(++, +-, -+, --)``:  ``p(++) = p(--) = sin^2(theta/2) / 2`` and
-    ``p(+-) = p(-+) = cos^2(theta/2) / 2``, where ``theta`` is the angle
-    between ``a`` and ``b``.  Both marginals are uniform and the entries sum
-    to 1.
-    """
-    theta = angle_between(a, b)
-    p_same = 0.5 * math.sin(theta / 2.0) ** 2
-    p_diff = 0.5 * math.cos(theta / 2.0) ** 2
-    return np.array([p_same, p_diff, p_diff, p_same])
-
-
-def _pair_blocks(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream_id, width):
+def _pair_blocks(pol_a: CapSpec, pol_b: CapSpec, n: int, master_seed, stream_id, width):
     """Yield ``(uniforms, cos_ab)`` for ``n`` pairs, in the blocks of ``randkit.stream_blocks``.
 
     Pair ``i`` consumes the ``width`` uniforms at positions ``width i ..`` of
@@ -119,10 +84,10 @@ def _pair_blocks(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream
     ``beta`` the caps' coordinates in their frames ``F_A`` and ``F_B`` (see
     ``randkit._cap_coefficients``), ``cos(theta_ab) = alpha . (F_A F_B^T) beta``.
     """
-    gram = _cap_frame(pol_a.cap) @ _cap_frame(pol_b.cap).T
+    gram = _cap_frame(pol_a) @ _cap_frame(pol_b).T
     for u in stream_blocks(substream(master_seed, stream_id), n, width):
-        xa, ya, za = _cap_coefficients(pol_a.cap, u[:, 0], u[:, 1])
-        beta = _cap_coefficients(pol_b.cap, u[:, 2], u[:, 3])
+        xa, ya, za = _cap_coefficients(pol_a, u[:, 0], u[:, 1])
+        beta = _cap_coefficients(pol_b, u[:, 2], u[:, 3])
         # column j of the Gram matrix gives the j-th coordinate of alpha F_A F_B^T
         cos_ab = sum((xa * g[0] + ya * g[1] + za * g[2]) * b for g, b in zip(gram.T, beta))
         yield u, cos_ab
@@ -145,7 +110,7 @@ def _outcomes_from_uniform(cos_ab, u, s1, s2):
     np.subtract(1, 2 * (minus == same).view(np.int8), out=s2)
 
 
-def run_experiment(pol_a: Polarizer, pol_b: Polarizer, n: int, master_seed, stream_id=0) -> ExperimentRun:
+def run_experiment(pol_a: CapSpec, pol_b: CapSpec, n: int, master_seed, stream_id=0) -> ExperimentRun:
     """Sample ``n`` independent pairs under fixed polarizers.
 
     Bit-reproducible from ``(master_seed, stream_id)``: pair ``i`` consumes
@@ -181,8 +146,8 @@ def record_directions(run: ExperimentRun, count=None):
     if run.master_seed is None:
         raise DomainError("a run without a stream key cannot rebuild its directions")
     for u in stream_blocks(substream(run.master_seed, run.stream_id), count, 5):
-        yield (_cap_from_uniforms(run.pol_a.cap, u[:, 0], u[:, 1]),
-               _cap_from_uniforms(run.pol_b.cap, u[:, 2], u[:, 3]))
+        yield (_cap_from_uniforms(run.pol_a, u[:, 0], u[:, 1]),
+               _cap_from_uniforms(run.pol_b, u[:, 2], u[:, 3]))
 
 
 def empirical_correlator(run: ExperimentRun) -> float:
@@ -203,7 +168,7 @@ def correlator_stderr(r: float, n: int) -> float:
     return math.sqrt(max(1.0 - r * r, 0.0) / n)
 
 
-def passage_probability(pol_a: Polarizer, pol_b: Polarizer, method="quadrature", *,
+def passage_probability(pol_a: CapSpec, pol_b: CapSpec, method="quadrature", *,
                         n=200_000, master_seed=0, stream_id=0, nodes=48) -> float:
     """Probability that both particles pass, averaged over the caps.
 
@@ -219,8 +184,8 @@ def passage_probability(pol_a: Polarizer, pol_b: Polarizer, method="quadrature",
         blocks = _pair_blocks(pol_a, pol_b, int(n), master_seed, stream_id, 4)
         return math.fsum(float(np.sum(0.25 * (1.0 - cos_ab))) for _, cos_ab in blocks) / int(n)
     if method == "quadrature":
-        pts_a, w_a = _cap_quadrature(pol_a.cap, nodes)
-        pts_b, w_b = _cap_quadrature(pol_b.cap, nodes)
+        pts_a, w_a = _cap_quadrature(pol_a, nodes)
+        pts_b, w_b = _cap_quadrature(pol_b, nodes)
         mean_dot = float(w_a @ (pts_a @ pts_b.T) @ w_b)
         return 0.25 * (1.0 - mean_dot)
     raise DomainError(f"method must be 'monte_carlo' or 'quadrature', got {method!r}")
@@ -352,29 +317,21 @@ def factorized_correlator(model: LambdaModel, a: Direction, b: Direction, *,
     return float(-np.mean(m1 * m2))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Result of the independent-variables inequality check."""
-
-    lhs: float
-    bound_holds: bool
-
-
-def independent_bound_check(m1, m1_prime, m2, m2_prime) -> BoundCheck:
+def independent_bound_check(m1, m1_prime, m2, m2_prime):
     """CHSH-type combination for four independent +/-1 variables' means.
 
     For independent variables every joint expectation factorizes, so the
     combination ``|m1 m2 - m1 m2'| + |m1' m2 + m1' m2'|`` is bounded by
-    ``|m2 - m2'| + |m2 + m2'|`` and hence by 2.  Returns the left-hand side
-    and whether the 2 bound holds (it always does for valid inputs; the flag
-    is the explicit check).
+    ``|m2 - m2'| + |m2 + m2'|`` and hence by 2.  Returns the pair
+    ``(lhs, bound_holds)``: the left-hand side and whether the 2 bound holds
+    (it always does for valid inputs; the flag is the explicit check).
     """
     values = (m1, m1_prime, m2, m2_prime)
     for value in values:
         if not -1.0 <= value <= 1.0:
             raise DomainError(f"means must lie in [-1, 1], got {value}")
     lhs = abs(m1 * m2 - m1 * m2_prime) + abs(m1_prime * m2 + m1_prime * m2_prime)
-    return BoundCheck(lhs, lhs <= 2.0 + 1e-12)
+    return lhs, lhs <= 2.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +367,7 @@ def run_to_jsonl_lines(run: ExperimentRun, record_limit=None):
 
 
 def write_run_jsonl(runs, path, record_limit=None):
-    """Write one or more runs to a JSONL file."""
-    if isinstance(runs, ExperimentRun):
-        runs = [runs]
+    """Write a list of runs to a JSONL file."""
     with open(path, "w", encoding="utf-8") as fh:
         for run in runs:
             for line in run_to_jsonl_lines(run, record_limit=record_limit):

@@ -101,6 +101,36 @@ def cap_contains(cap, direction):
 
 
 # ---------------------------------------------------------------------------
+# the singlet pair law at fixed microscopic settings
+
+def angle_between(a, b) -> float:
+    """Angle in radians, in [0, pi], between two unit vectors.
+
+    Accepts :class:`Direction` or plain 3-vectors.  The dot product is clamped
+    to [-1, 1] before the arccosine, so floating-point excursions never raise.
+    Symmetric in its arguments.
+    """
+    av = a.as_array() if isinstance(a, Direction) else np.asarray(a, dtype=float)
+    bv = b.as_array() if isinstance(b, Direction) else np.asarray(b, dtype=float)
+    return float(np.arccos(np.clip(av @ bv, -1.0, 1.0)))
+
+
+def singlet_joint_probs(a, b) -> np.ndarray:
+    """Joint outcome probabilities for one pair at microscopic settings (a, b).
+
+    Returns the 4-vector over ``(s1, s2)`` in the order
+    ``(++, +-, -+, --)``:  ``p(++) = p(--) = sin^2(theta/2) / 2`` and
+    ``p(+-) = p(-+) = cos^2(theta/2) / 2``, where ``theta`` is the angle
+    between ``a`` and ``b``.  Both marginals are uniform and the entries sum
+    to 1.
+    """
+    theta = angle_between(a, b)
+    p_same = 0.5 * math.sin(theta / 2.0) ** 2
+    p_diff = 0.5 * math.cos(theta / 2.0) ** 2
+    return np.array([p_same, p_diff, p_diff, p_same])
+
+
+# ---------------------------------------------------------------------------
 # pair sampling with materialized directions: the scalar and the one-draw twin
 # of the chunked pair kernel in spce
 
@@ -131,8 +161,8 @@ def singlet_outcomes(cos_ab, u):
 def sample_pair(pol_a, pol_b, rng):
     """Draw one pair from five uniforms (cap A cosine, azimuth, cap B cosine, azimuth, outcome)."""
     u = rng.random(5)
-    a = _cap_from_uniforms(pol_a.cap, u[0], u[1])
-    b = _cap_from_uniforms(pol_b.cap, u[2], u[3])
+    a = _cap_from_uniforms(pol_a, u[0], u[1])
+    b = _cap_from_uniforms(pol_b, u[2], u[3])
     s1, s2 = singlet_outcomes(float(a @ b), u[4])
     return PairRecord(a, b, int(s1), int(s2))
 
@@ -140,8 +170,8 @@ def sample_pair(pol_a, pol_b, rng):
 def materialized_run(pol_a, pol_b, n, master_seed, stream_id=0):
     """``(a, b, s1, s2)`` of ``n`` pairs from one ``(n, 5)`` draw, directions built in full."""
     u = substream(master_seed, stream_id).random((int(n), 5))
-    a = _cap_from_uniforms(pol_a.cap, u[:, 0], u[:, 1])
-    b = _cap_from_uniforms(pol_b.cap, u[:, 2], u[:, 3])
+    a = _cap_from_uniforms(pol_a, u[:, 0], u[:, 1])
+    b = _cap_from_uniforms(pol_b, u[:, 2], u[:, 3])
     s1, s2 = singlet_outcomes(np.einsum("ij,ij->i", a, b), u[:, 4])
     return a, b, s1, s2
 
@@ -304,6 +334,16 @@ def runs_moments_enumerated(n, n_pos):
 
 # ---------------------------------------------------------------------------
 # misc statistics helpers
+
+def fraction_b(series):
+    """Fraction of +1 (blue) outcomes of a series."""
+    return float(np.mean(series.values == 1))
+
+
+def outcome_string(series):
+    """A series as B/R characters, e.g. ``'RRRRRR'``."""
+    return "".join("B" if v == 1 else "R" for v in series.values)
+
 
 def binomial_sigma(p, n):
     return math.sqrt(p * (1.0 - p) / n)

@@ -17,9 +17,8 @@ from spcelab.cli import main as cli_main
 from spcelab.coin_lab import OutcomeLaw, sample_runs
 from spcelab.purity import Reduction, Sample, Verdict, purity_verdict, runs_test
 from spcelab.qkd import generate_keys, mismatch_rate
-from spcelab.randkit import Direction, substream
+from spcelab.randkit import CapSpec, Direction, substream
 from spcelab.spce import (
-    Polarizer,
     chsh,
     correlator_stderr,
     empirical_correlator,
@@ -54,7 +53,7 @@ def test_criterion_2_contextual_chsh_violation():
     a, a_p, b, b_p = STANDARD
     correlators = [
         empirical_correlator(run_experiment(
-            Polarizer.from_axis(x, 0.0), Polarizer.from_axis(y, 0.0), n,
+            CapSpec(x, 0.0), CapSpec(y, 0.0), n,
             master_seed=2, stream_id=i,
         ))
         for i, (x, y) in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)])
@@ -88,11 +87,9 @@ def test_criterion_3_shared_lambda_bound():
 def test_criterion_4_anticorrelation_failure():
     n = 1_000_000
     axis = Direction.from_plane_angle(0.0)
-    sharp = run_experiment(Polarizer.from_axis(axis, 0.0), Polarizer.from_axis(axis, 0.0),
-                           n, master_seed=4)
+    sharp = run_experiment(CapSpec(axis, 0.0), CapSpec(axis, 0.0), n, master_seed=4)
     sharp_rate = float(np.mean(sharp.s1 == sharp.s2))
-    smeared = run_experiment(Polarizer.from_axis(axis, 0.1), Polarizer.from_axis(axis, 0.1),
-                             n, master_seed=4, stream_id=1)
+    smeared = run_experiment(CapSpec(axis, 0.1), CapSpec(axis, 0.1), n, master_seed=4, stream_id=1)
     rate = float(np.mean(smeared.s1 == smeared.s2))
     expected = oracles.same_outcome_prob(0.1, 0.1, 1.0)
     sigma = oracles.binomial_sigma(expected, n)
@@ -155,13 +152,13 @@ def test_criterion_7_purity_discrimination():
         Sample(OutcomeLaw("box:E5", {"n_blue": 4, "n_red": 6, "n": 10_000}).series(substream(700, i + 6)), f"skew{i}")
         for i in range(5)
     ]
-    mixed = purity_verdict(perturbed, [Reduction.thin(0.5)], 5, 0.05, master_seed=700)
+    mixed = purity_verdict(perturbed, [Reduction("thin", 0.5)], 5, 0.05, master_seed=700)
     corrected_p = mixed.reports[0].p_adjusted
     ok = mixed.verdict is Verdict.MIXED and corrected_p < 1e-4
 
     pure_count = 0
     for seed in range(100):
-        verdict = purity_verdict(_e6_family(seed), [Reduction.thin(0.5)], 5, 0.05, master_seed=seed)
+        verdict = purity_verdict(_e6_family(seed), [Reduction("thin", 0.5)], 5, 0.05, master_seed=seed)
         if verdict.verdict is Verdict.PURE:
             pure_count += 1
     ok &= pure_count >= 90

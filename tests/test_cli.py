@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spcelab
 from spcelab.cli import main
 from spcelab.coin_lab import read_timeseries_jsonl, regenerate_series
-from spcelab.randkit import RngStream
+from spcelab.qkd import generate_keys
+from spcelab.randkit import Direction, RngStream
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -344,6 +346,20 @@ class TestQkdCommand:
         assert report["chsh"]["S"] <= 2.0 + 1e-12
         assert report["chsh"]["adversary"] is True
 
+    def test_keys_json_decodes_to_the_generated_keys(self, tmp_path):
+        # 77 bits: the hex strings end in a zero-padded partial byte
+        cfg = write_config(tmp_path, {"axis": 20, "epsilon": 0.2, "n": 77, "seed": 10})
+        out = tmp_path / "out"
+        assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = load_json(out / "keys.json")
+        keys = generate_keys(Direction.from_plane_angle(20.0), 77, 0.2, 0.2, master_seed=10)
+        assert doc["header"] == keys.meta
+        assert set(doc) == {"header", "alice", "bob"}
+        for party in ("alice", "bob"):
+            bits = np.unpackbits(np.frombuffer(bytes.fromhex(doc[party]), dtype=np.uint8))
+            assert len(bits) == 80 and not bits[77:].any()
+            np.testing.assert_array_equal(bits[:77], getattr(keys, party))
+
 
 @pytest.mark.parametrize("command,cfg,field", [
     ("spce", {"axes": {"A": 0, "B": 45}, "n": 10, "record_limit": True}, "record_limit"),
@@ -381,6 +397,11 @@ class TestQkdCommand:
      "A_prime"),
     ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
                 "subensemble_count": 2, "subensemble_fraction": 0}, "subensemble_fraction"),
+    ("spce", {"axes": {"A": ["1", 0, 0], "B": 45}, "n": 10}, "axis 'A'"),
+    ("spce", {"axes": {"A": 0, "B": [True, False, False]}, "n": 10}, "axis 'B'"),
+    ("qkd", {"axis": [1, True, 0], "n": 10}, "axis 'axis'"),
+    ("qkd", {"n": 10, "test": {"axes": {**STANDARD_AXES, "B_prime": [0, "1", 0]}, "n": 10}},
+     "test.axes.B_prime"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)
@@ -388,6 +409,36 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field)
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("spce", '{"axes": {"A": 1e999, "B": 45}, "n": 10}'),
+    ("spce", '{"axes": {"A": [1e999, 0, 0], "B": 45}, "n": 10}'),
+    ("qkd", '{"axis": [1e999, 1, 0], "n": 10}'),
+    ("purity", '{"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},'
+               ' "procedures": [{"kind": "every_kth", "param": 1e999}]}'),
+    ("spce", '{"axes": {"A": 1' + "0" * 400 + ', "B": 45}, "n": 10}'),
+    ("purity", '{"alpha": -1' + "0" * 400 + ', "generate": {"experiments": [{"box": "E6", "urn": [5, 5],'
+               ' "n": 100, "count": 2}]}}'),
+], ids=["spce-angle", "spce-vector", "qkd-axis", "purity-param", "spce-int-angle", "purity-int-alpha"])
+def test_out_of_range_number_is_a_config_error(tmp_path, capsys, command, text):
+    # JSON allows 1e999 and 400-digit integers; neither fits in a float
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "beyond the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_number_in_a_manifest_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"axis": 10, "n": 10, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"axis": 10', '"axis": 1e999'))
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "replayed")]) == 3
+    assert "beyond the float range" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -16,12 +16,9 @@ from spcelab.qkd import (
     KeyPair,
     ekert_test_statistic,
     generate_keys,
-    keys_from_json,
-    keys_to_json,
     mismatch_rate,
 )
-from spcelab.randkit import BLOCK_ROWS, Direction
-from spcelab.spce import Polarizer
+from spcelab.randkit import BLOCK_ROWS, CapSpec, Direction
 
 AXIS = Direction.from_plane_angle(20.0)
 STANDARD = tuple(Direction.from_plane_angle(d) for d in (0.0, 90.0, 45.0, 135.0))
@@ -62,8 +59,7 @@ class TestGenerateKeys:
         # Alice's bit is (s1 + 1) / 2, Bob's (1 - s2) / 2, over several kernel blocks
         n = 3 * BLOCK_ROWS + 7
         keys = generate_keys(AXIS, n, 0.3, 0.1, master_seed=8, stream_id=2)
-        _, _, s1, s2 = oracles.materialized_run(Polarizer.from_axis(AXIS, 0.3),
-                                                Polarizer.from_axis(AXIS, 0.1), n, 8, 2)
+        _, _, s1, s2 = oracles.materialized_run(CapSpec(AXIS, 0.3), CapSpec(AXIS, 0.1), n, 8, 2)
         np.testing.assert_array_equal(keys.alice, (s1 + 1) // 2)
         np.testing.assert_array_equal(keys.bob, (1 - s2) // 2)
 
@@ -148,11 +144,3 @@ class TestEkertStatistic:
             assert code == 0
         assert peak_kb[True] <= peak_kb[False] + 5 * 1024
 
-
-class TestSerialization:
-    def test_hex_round_trip(self):
-        keys = generate_keys(AXIS, 77, 0.2, 0.2, master_seed=10)
-        restored = keys_from_json(keys_to_json(keys))
-        np.testing.assert_array_equal(restored.alice, keys.alice)
-        np.testing.assert_array_equal(restored.bob, keys.bob)
-        assert restored.meta["n"] == 77

@@ -11,7 +11,6 @@ from spcelab.randkit import (
     BLOCK_ROWS,
     CapSpec,
     Direction,
-    angle_between,
     hypergeometric_step_prob,
     sample_cap,
     stream_blocks,
@@ -141,6 +140,12 @@ class TestDirection:
         with pytest.raises(DomainError):
             Direction(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("components", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_components_rejected(self, components):
+        with pytest.raises(DomainError, match="not unit length"):
+            Direction(*components)
+
     def test_normalized(self):
         d = Direction.normalized(0.0, 0.0, 5.0)
         assert d == Z
@@ -148,25 +153,25 @@ class TestDirection:
             Direction.normalized(0.0, 0.0, 0.0)
 
     def test_from_plane_angle(self):
-        assert angle_between(Direction.from_plane_angle(0.0), Z) == pytest.approx(0.0)
+        assert oracles.angle_between(Direction.from_plane_angle(0.0), Z) == pytest.approx(0.0)
         d = Direction.from_plane_angle(90.0)
         assert d.x == pytest.approx(1.0)
-        assert angle_between(d, Z) == pytest.approx(math.pi / 2)
+        assert oracles.angle_between(d, Z) == pytest.approx(math.pi / 2)
 
     def test_angle_between(self):
         a = Direction.from_plane_angle(37.0)
         b = Direction.from_plane_angle(122.0)
-        assert angle_between(a, a) == 0.0
-        assert angle_between(a, -a) == pytest.approx(math.pi)
-        assert angle_between(a, b) == angle_between(b, a)
-        assert angle_between(Direction(1.0, 0.0, 0.0), Z) == pytest.approx(math.pi / 2)
+        assert oracles.angle_between(a, a) == 0.0
+        assert oracles.angle_between(a, -a.as_array()) == pytest.approx(math.pi)
+        assert oracles.angle_between(a, b) == oracles.angle_between(b, a)
+        assert oracles.angle_between(Direction(1.0, 0.0, 0.0), Z) == pytest.approx(math.pi / 2)
 
 
 class TestSampleCap:
     def test_epsilon_zero_returns_axis_exactly(self):
         axis = Direction.from_plane_angle(33.0)
-        d = sample_cap(CapSpec(axis, 0.0), substream(1, 0))
-        assert (d.x, d.y, d.z) == (axis.x, axis.y, axis.z)
+        (d,) = sample_cap(CapSpec(axis, 0.0), substream(1, 0), size=1)
+        assert tuple(d) == (axis.x, axis.y, axis.z)
 
     def test_epsilon_range_validated(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,6 @@ from spcelab.randkit import BLOCK_ROWS, CapSpec, Direction, _cap_from_uniforms, 
 from spcelab.spce import (
     ExperimentRun,
     LambdaModel,
-    Polarizer,
     ch_factorized_probability,
     chsh,
     correlator_stderr,
@@ -29,7 +28,6 @@ from spcelab.spce import (
     run_experiment,
     run_shared_lambda_model,
     run_to_jsonl_lines,
-    singlet_joint_probs,
 )
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -37,7 +35,7 @@ STANDARD_ANGLES = (0.0, 90.0, 45.0, 135.0)  # A, A', B, B'
 
 
 def pol(degrees, eps=0.0):
-    return Polarizer.from_axis(Direction.from_plane_angle(degrees), eps)
+    return CapSpec(Direction.from_plane_angle(degrees), eps)
 
 
 def directions(run, count=None):
@@ -55,17 +53,17 @@ def random_rotation(gen):
 class TestSingletJointProbs:
     def test_aligned_is_perfectly_anticorrelated(self):
         np.testing.assert_allclose(
-            singlet_joint_probs(Z, Z), [0.0, 0.5, 0.5, 0.0], atol=1e-15
+            oracles.singlet_joint_probs(Z, Z), [0.0, 0.5, 0.5, 0.0], atol=1e-15
         )
 
     def test_antiparallel_is_perfectly_correlated(self):
         np.testing.assert_allclose(
-            singlet_joint_probs(Z, -Z), [0.5, 0.0, 0.0, 0.5], atol=1e-15
+            oracles.singlet_joint_probs(Z, -Z.as_array()), [0.5, 0.0, 0.0, 0.5], atol=1e-15
         )
 
     def test_orthogonal_is_uniform(self):
         # sin^2(pi/4) = 1/2, so every cell is 1/4
-        probs = singlet_joint_probs(Z, Direction(1.0, 0.0, 0.0))
+        probs = oracles.singlet_joint_probs(Z, Direction(1.0, 0.0, 0.0))
         np.testing.assert_allclose(probs, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
     def test_normalization_and_symmetries(self):
@@ -73,12 +71,12 @@ class TestSingletJointProbs:
         for _ in range(50):
             a = Direction.normalized(*gen.normal(size=3))
             b = Direction.normalized(*gen.normal(size=3))
-            probs = singlet_joint_probs(a, b)
+            probs = oracles.singlet_joint_probs(a, b)
             assert np.all(probs >= 0.0)
             assert abs(probs.sum() - 1.0) < 1e-12
-            np.testing.assert_allclose(probs, singlet_joint_probs(b, a), atol=1e-15)
+            np.testing.assert_allclose(probs, oracles.singlet_joint_probs(b, a), atol=1e-15)
             rot = random_rotation(gen)
-            rotated = singlet_joint_probs(
+            rotated = oracles.singlet_joint_probs(
                 Direction.normalized(*(rot @ a.as_array())),
                 Direction.normalized(*(rot @ b.as_array())),
             )
@@ -107,7 +105,7 @@ class TestSamplePair:
     def test_samples_live_in_their_caps(self):
         cap_a = CapSpec(Direction.from_plane_angle(20.0), 0.3)
         cap_b = CapSpec(Direction.from_plane_angle(65.0), 0.7)
-        a, b = directions(run_experiment(Polarizer(cap_a), Polarizer(cap_b), 200, master_seed=4))
+        a, b = directions(run_experiment(cap_a, cap_b, 200, master_seed=4))
         for a_i, b_i in zip(a, b):
             assert oracles.cap_contains(cap_a, a_i)
             assert oracles.cap_contains(cap_b, b_i)
@@ -153,8 +151,8 @@ KERNEL_POLARIZERS = (
     (pol(0.0), pol(45.0)),
     (pol(20.0, 0.1), pol(20.0, 0.1)),
     (pol(0.0, 0.3), pol(180.0, 2.0)),
-    (Polarizer.from_axis(Direction.normalized(1.0, 2.0, -0.5), 0.7),
-     Polarizer.from_axis(Direction.normalized(-0.3, 0.1, 0.9), 1.3)),
+    (CapSpec(Direction.normalized(1.0, 2.0, -0.5), 0.7),
+     CapSpec(Direction.normalized(-0.3, 0.1, 0.9), 1.3)),
 )
 
 
@@ -181,8 +179,8 @@ class TestPairKernel:
                 continue
             a, b = directions(run, count)
             rows = min(count, n)
-            np.testing.assert_allclose(a, _cap_from_uniforms(p_a.cap, u[:rows, 0], u[:rows, 1]), atol=0)
-            np.testing.assert_allclose(b, _cap_from_uniforms(p_b.cap, u[:rows, 2], u[:rows, 3]), atol=0)
+            np.testing.assert_allclose(a, _cap_from_uniforms(p_a, u[:rows, 0], u[:rows, 1]), atol=0)
+            np.testing.assert_allclose(b, _cap_from_uniforms(p_b, u[:rows, 2], u[:rows, 3]), atol=0)
 
     def test_serialized_records_carry_the_rebuilt_directions(self):
         p_a, p_b = KERNEL_POLARIZERS[2]
@@ -299,8 +297,8 @@ class TestPassageProbability:
         for p_a, p_b in KERNEL_POLARIZERS:
             mc = passage_probability(p_a, p_b, "monte_carlo", n=n, master_seed=17, stream_id=2)
             u = substream(17, 2).random((n, 4))
-            dots = np.einsum("ij,ij->i", _cap_from_uniforms(p_a.cap, u[:, 0], u[:, 1]),
-                             _cap_from_uniforms(p_b.cap, u[:, 2], u[:, 3]))
+            dots = np.einsum("ij,ij->i", _cap_from_uniforms(p_a, u[:, 0], u[:, 1]),
+                             _cap_from_uniforms(p_b, u[:, 2], u[:, 3]))
             assert mc == pytest.approx(float(np.mean(0.25 * (1.0 - dots))), rel=1e-12, abs=1e-15)
             assert abs(mc - passage_probability(p_a, p_b, "quadrature")) < 4e-3
 
@@ -475,21 +473,21 @@ class TestFactorizedModel:
 
 class TestIndependentBound:
     def test_extremal_case(self):
-        result = independent_bound_check(1.0, 1.0, 1.0, -1.0)
-        assert result.lhs == 2.0
-        assert result.bound_holds
+        lhs, bound_holds = independent_bound_check(1.0, 1.0, 1.0, -1.0)
+        assert lhs == 2.0
+        assert bound_holds
 
     def test_degenerate_case(self):
-        assert independent_bound_check(0.0, 0.0, 0.7, -0.3).lhs == 0.0
+        assert independent_bound_check(0.0, 0.0, 0.7, -0.3)[0] == 0.0
 
     def test_random_sweep_always_holds(self):
         gen = np.random.Generator(np.random.Philox(key=123))
         quads = gen.uniform(-1.0, 1.0, size=(100_000, 4))
         for m1, m1p, m2, m2p in quads:
-            result = independent_bound_check(m1, m1p, m2, m2p)
+            lhs, bound_holds = independent_bound_check(m1, m1p, m2, m2p)
             middle = abs(m2 - m2p) + abs(m2 + m2p)
-            assert result.lhs <= middle + 1e-12 <= 2.0 + 2e-12
-            assert result.bound_holds
+            assert lhs <= middle + 1e-12 <= 2.0 + 2e-12
+            assert bound_holds
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
