@@ -4,8 +4,7 @@ Modules
 -------
 randkit
     Reproducible counter-based random streams, one at a time or many in one
-    vectorized pass, spherical-cap sampling, and the urn step-probability
-    formula.
+    vectorized pass, and spherical-cap sampling.
 coin_lab
     Macroscopic coin experiments E1-E6: deterministic, alternating,
     Bernoulli, urn, mixed-box, and pure-box devices.

@@ -11,7 +11,7 @@ run byte-for-byte (only its own timestamp differs between replays).
 
 Exit codes: 0 success (purity: verdict pure), 1 purity mixed, 2 purity
 inconclusive, 3 invalid config or usage, 4 malformed input data, 5 I/O
-failure, 6 internal error (traceback on stderr).
+failure or out of memory, 6 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -111,8 +111,15 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get_int(cfg, key, minimum=None, default=_REQUIRED):
-    """An integer field; with ``default=None`` a missing or null field reads as None."""
+#: Counts and indices are held in int64 arrays, so every integer field but a seed stays below this.
+_INT_BOUND = 2**63
+
+
+def _get_int(cfg, key, minimum=None, default=_REQUIRED, bounded=True):
+    """An integer field, below 2^63 unless ``bounded`` is false (a seed).
+
+    With ``default=None`` a missing or null field reads as None.
+    """
     value = cfg.get(key, default)
     _require(value is not _REQUIRED, f"config is missing required field '{key}'")
     if value is None and default is None:
@@ -120,6 +127,7 @@ def _get_int(cfg, key, minimum=None, default=_REQUIRED):
     _require(_is_int(value), f"'{key}' must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"'{key}' must be >= {minimum}, got {value}")
+    _require(not bounded or value < _INT_BOUND, f"'{key}' must be below 2^63, got {value}")
     return value
 
 
@@ -138,8 +146,8 @@ def _get_bool(cfg, key, default):
 
 def _parse_urn(value) -> coin_lab.UrnState:
     _require(isinstance(value, list) and len(value) == 2
-             and all(_is_int(v) and v >= 0 for v in value),
-             f"'urn' must be a [n_blue, n_red] pair of non-negative integers, got {value!r}")
+             and all(_is_int(v) and 0 <= v < _INT_BOUND for v in value),
+             f"'urn' must be a [n_blue, n_red] pair of integers in [0, 2^63), got {value!r}")
     return coin_lab.UrnState(*value)
 
 
@@ -162,7 +170,7 @@ def _parse_epsilon(value, name):
 
 
 def _resolve_seed(cfg, override):
-    seed = _get_int(cfg, "seed", default=0) if override is None else override
+    seed = _get_int(cfg, "seed", default=0, bounded=False) if override is None else override
     _require(0 <= seed < 2**64, f"the master seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
@@ -213,9 +221,7 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
         axes[_AXIS_LABELS[key]] = _parse_axis(value, key)
     eps_cfg = cfg.get("epsilon", 0.0)
     if isinstance(eps_cfg, dict):
-        _check_fields(eps_cfg, "'epsilon'", *_AXIS_LABELS)
-        for key in eps_cfg:
-            _require(key in axes_cfg, f"'epsilon' names axis '{key}', which 'axes' does not define")
+        _check_fields(eps_cfg, "'epsilon'", *axes_cfg)
         epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}") for k, v in eps_cfg.items()}
         for label in axes:
             _require(label in epsilons, f"epsilon missing for axis '{label}'")
@@ -548,7 +554,7 @@ def cmd_replay(args) -> int:
     _require(isinstance(manifest.get("config"), dict), "manifest 'config' must be an object")
     out = Path(args.out) if args.out is not None else manifest_path.parent
     return _drive(command, manifest["config"], manifest_path.resolve().parent,
-                  _get_int(manifest, "master_seed"), out, manifest.get("format", "csv"))
+                  _get_int(manifest, "master_seed", bounded=False), out, manifest.get("format", "csv"))
 
 
 def cmd_run(args) -> int:
@@ -609,6 +615,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception:
         traceback.print_exc()

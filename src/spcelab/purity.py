@@ -99,13 +99,12 @@ class PurityVerdict:
 
     verdict: Verdict
     reports: list
-    correction: str = "holm"
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
-            "correction": self.correction,
+            "correction": "holm",
             "reports": [r.to_dict() for r in self.reports],
             "notes": list(self.notes),
         }
@@ -401,4 +400,4 @@ def purity_verdict(base_samples, procedures, subensemble_count, alpha, *,
             notes.append(
                 f"total base size {total_base} below power floor {power_floor}; cannot certify purity"
             )
-    return PurityVerdict(verdict, reports, "holm", notes)
+    return PurityVerdict(verdict, reports, notes)

@@ -51,8 +51,6 @@ def generate_keys(axis: Direction, n: int, eps_a: float, eps_b: float, master_se
     anti-correlated outcomes give identical keys.  Bit-reproducible from the
     seed.
     """
-    if n < 1:
-        raise DomainError(f"key length must be >= 1, got {n}")
     run = run_experiment(CapSpec(axis, eps_a), CapSpec(axis, eps_b), n, master_seed, stream_id)
     alice = run.s1 > 0
     bob = run.s2 < 0
@@ -86,8 +84,6 @@ def ekert_test_statistic(a: Direction, a_prime: Direction, b: Direction, b_prime
     replaced by the shared-hidden-direction model, whose value never
     exceeds 2.
     """
-    if n_test < 1:
-        raise DomainError(f"test pair count must be >= 1, got {n_test}")
     if adversary:
         _, corr = run_shared_lambda_model(a, a_prime, b, b_prime, n_test, master_seed,
                                           stream_id=stream_base)

@@ -27,14 +27,10 @@ _U64_MAX = 2**64 - 1
 UNIT_NORM_TOL = 1e-12
 
 
-def _check_int(value, name):
+def _check_u64(value, name):
     # bool is an int subclass, but True is not a seed, a stream id or a count
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
-
-
-def _check_u64(value, name):
-    _check_int(value, name)
     if not 0 <= int(value) <= _U64_MAX:
         raise DomainError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     return int(value)
@@ -278,29 +274,5 @@ def sample_cap(cap: CapSpec, rng: RngStream, size):
     return _cap_from_uniforms(cap, uv[:, 0], uv[:, 1])
 
 
-def uniform_direction(rng: RngStream, size):
-    """Draw directions uniformly on the full sphere (an ``epsilon = 2`` cap)."""
-    return sample_cap(_FULL_SPHERE, rng, size=size)
-
-
+#: The whole sphere, an ``epsilon = 2`` cap.
 _FULL_SPHERE = CapSpec(Direction(0.0, 0.0, 1.0), 2.0)
-
-
-def hypergeometric_step_prob(k, m, n_per_color) -> float:
-    """Probability that the next draw is blue, after ``k`` draws with ``m`` blue.
-
-    For an urn that started with ``n_per_color`` blue and ``n_per_color`` red
-    coins and is sampled without replacement, the conditional probability of a
-    blue coin on draw ``k + 1`` given ``m`` blue among the first ``k`` is
-    ``(n_per_color - m) / (2 * n_per_color - k)``.
-    """
-    for name, value in (("k", k), ("m", m), ("n_per_color", n_per_color)):
-        _check_int(value, name)
-    k, m, n = int(k), int(m), int(n_per_color)
-    if n <= 0:
-        raise DomainError(f"n_per_color must be positive, got {n}")
-    if not 0 <= m <= k < 2 * n:
-        raise DomainError(f"need 0 <= m <= k < 2n, got k={k}, m={m}, n={n}")
-    if m > n or k - m > n:
-        raise DomainError(f"counts exceed the urn: k={k}, m={m}, n={n}")
-    return (n - m) / (2 * n - k)

@@ -35,9 +35,9 @@ from .randkit import (
     _cap_coefficients,
     _cap_frame,
     _cap_from_uniforms,
+    sample_cap,
     stream_blocks,
     substream,
-    uniform_direction,
 )
 
 
@@ -53,8 +53,8 @@ class ExperimentRun:
     pol_b: CapSpec
     s1: np.ndarray
     s2: np.ndarray
-    master_seed: int | None = None
-    stream_id: int = 0
+    master_seed: int
+    stream_id: int
 
     def __post_init__(self):
         if len(self.s1) < 1:
@@ -143,8 +143,6 @@ def record_directions(run: ExperimentRun, count=None):
     count = len(run) if count is None else min(len(run), int(count))
     if count == 0:
         return
-    if run.master_seed is None:
-        raise DomainError("a run without a stream key cannot rebuild its directions")
     for u in stream_blocks(substream(run.master_seed, run.stream_id), count, 5):
         yield (_cap_from_uniforms(run.pol_a, u[:, 0], u[:, 1]),
                _cap_from_uniforms(run.pol_b, u[:, 2], u[:, 3]))
@@ -158,8 +156,6 @@ def empirical_correlator(run: ExperimentRun) -> float:
     Under the contextual cap model the expectation is
     ``(1 - eps_A/2) (1 - eps_B/2) cos(theta_AB)``.
     """
-    if len(run) < 1:
-        raise DomainError("cannot compute a correlator on an empty run")
     return float(-np.mean(run.s1.astype(np.float64) * run.s2))
 
 
@@ -258,10 +254,9 @@ def run_shared_lambda_model(a: Direction, a_prime: Direction, b: Direction, b_pr
 class LambdaModel:
     """A factorized detection model: a prior over hidden states plus two maps.
 
-    ``prior`` is either the string ``"uniform_sphere"``, a discrete
-    ``(points, weights)`` pair (weights must be non-negative and sum to 1), or
-    a callable ``(rng, n) -> (n, d)`` sampler.  ``p1`` and ``p2`` map a batch
-    of hidden states and a setting to detection probabilities in [0, 1].
+    ``prior`` is ``"uniform_sphere"`` or a discrete ``(points, weights)`` pair
+    (weights non-negative, summing to 1); ``p1`` and ``p2`` map a batch of
+    hidden states and a setting to detection probabilities in [0, 1].
     """
 
     prior: object
@@ -272,9 +267,7 @@ class LambdaModel:
         if isinstance(self.prior, str):
             if self.prior != "uniform_sphere":
                 raise DomainError(f"unknown named prior {self.prior!r}")
-            return uniform_direction(rng, size=n)
-        if callable(self.prior):
-            return np.asarray(self.prior(rng, n), dtype=float)
+            return sample_cap(_FULL_SPHERE, rng, size=n)
         points, weights = self.prior
         points = np.asarray(points, dtype=float)
         weights = np.asarray(weights, dtype=float)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import spcelab
 from spcelab.cli import main
 from spcelab.coin_lab import read_timeseries_jsonl, regenerate_series
@@ -78,6 +80,29 @@ class TestSpceCommand:
         cfg = write_config(tmp_path, {"axes": {"A": 0, "B": 45}, "epsilon": 3.0, "n": 10})
         assert main(["spce", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "epsilon" in capsys.readouterr().err
+
+    def test_axis_vector_matches_its_plane_angle(self, tmp_path):
+        outputs = []
+        for name, axis in (("angle", 0), ("vector", [0, 0, 2])):
+            cfg = write_config(tmp_path, {"axes": {"A": axis, "B": 45}, "n": 20, "seed": 4}, f"{name}.json")
+            assert main(["spce", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            outputs.append(read_outputs(tmp_path / name))
+        assert outputs[0] == outputs[1]
+
+    def test_per_axis_epsilon_follows_the_cap_law(self, tmp_path):
+        eps = {"A": 0.2, "A_prime": 0, "B": 0.4, "B_prime": 1.0}
+        n = 100_000
+        cfg = write_config(tmp_path, {"axes": STANDARD_AXES, "epsilon": eps, "n": n, "seed": 8,
+                                      "record_limit": 0})
+        out = tmp_path / "out"
+        assert main(["spce", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "correlators.csv", newline="") as fh:
+            rows = {r["setting_pair"]: float(r["r"]) for r in csv.DictReader(fh)}
+        for x, y in (("A", "B"), ("A", "B_prime"), ("A_prime", "B"), ("A_prime", "B_prime")):
+            cos_xy = math.cos(math.radians(STANDARD_AXES[y] - STANDARD_AXES[x]))
+            expected = oracles.contextual_correlator(eps[x], eps[y], cos_xy)
+            label = (x + y).replace("_prime", "'")
+            assert abs(rows[label] - expected) < 5 * math.sqrt((1 - expected ** 2) / n), label
 
     def test_json_table_format(self, tmp_path):
         cfg = write_config(tmp_path, {"axes": {"A": 0, "B": 45}, "n": 50, "seed": 2})
@@ -402,6 +427,16 @@ class TestQkdCommand:
     ("qkd", {"axis": [1, True, 0], "n": 10}, "axis 'axis'"),
     ("qkd", {"n": 10, "test": {"axes": {**STANDARD_AXES, "B_prime": [0, "1", 0]}, "n": 10}},
      "test.axes.B_prime"),
+    ("spce", {"axes": {"A": [0, 0, 0], "B": 45}, "n": 10}, "axis 'A' is not a usable 3-vector"),
+    ("spce", {"axes": {"A": 0, "B": 45}, "epsilon": {"A": 0.1}, "n": 10},
+     "epsilon missing for axis 'B'"),
+    ("purity", {}, "exactly one of 'inputs' or 'generate'"),
+    ("purity", {"inputs": ["series.jsonl"], "generate": {"experiments": []}},
+     "exactly one of 'inputs' or 'generate'"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "procedures": [{"kind": "halve"}]}, "unknown reduction kind 'halve'"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "procedures": [{"kind": "prefix", "param": 1.5}]}, "prefix fraction must be in (0, 1]"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)
@@ -441,6 +476,64 @@ def test_out_of_range_number_in_a_manifest_is_a_config_error(tmp_path, capsys):
     assert "beyond the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("nan.json", '{"axes": {"A": NaN, "B": 45}, "n": 10}', "NaN is not valid JSON"),
+    ("broken.json", '{"axes": {"A": 0, "B": 45}, "n": 10', "is not valid JSON"),
+    ("list.json", '[{"axes": {"A": 0, "B": 45}, "n": 10}]', "must be a JSON object"),
+    ("missing.json", None, "cannot read config"),
+], ids=["nan", "invalid-json", "not-an-object", "unreadable"])
+def test_unusable_config_file_is_a_config_error(tmp_path, capsys, name, text, message):
+    cfg_path = tmp_path / name
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["spce", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and name in err
+    assert not out.exists()
+
+
+PURITY_GENERATE = {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]}}
+
+#: A valid config of each command, and the path to each of its integer fields but the seed.
+INTEGER_FIELDS = [
+    ("spce", {"axes": {"A": 0, "B": 45}, "n": 10}, ("n",)),
+    ("spce", {"axes": {"A": 0, "B": 45}, "n": 10}, ("record_limit",)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("runs",)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("n",)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("series_limit",)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("urn", 0)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("urn", 1)),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [5, 5]}, ("remove",)),
+    ("purity", PURITY_GENERATE, ("subensemble_count",)),
+    ("purity", PURITY_GENERATE, ("power_floor",)),
+    ("purity", PURITY_GENERATE, ("generate", "experiments", 0, "n")),
+    ("purity", PURITY_GENERATE, ("generate", "experiments", 0, "count")),
+    ("purity", PURITY_GENERATE, ("generate", "experiments", 0, "urn", 0)),
+    ("bertrand", {"machines": ["M1"], "n": 10}, ("n",)),
+    ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10}}, ("n",)),
+    ("qkd", {"n": 10, "test": {"axes": STANDARD_AXES, "n": 10}}, ("test", "n")),
+]
+
+
+@pytest.mark.parametrize("value", [2**63, 10**20], ids=["2^63", "10^20"])
+@pytest.mark.parametrize("command,cfg,path", INTEGER_FIELDS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in INTEGER_FIELDS])
+def test_integer_beyond_int64_is_a_config_error(tmp_path, capsys, command, cfg, path, value):
+    # numpy holds counts as int64; a larger count would crash it or never end
+    doc = copy.deepcopy(cfg)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 3
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "2^63" in err
+    assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_error_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, {"generate": {"experiments": []}})
@@ -473,12 +566,29 @@ class TestExitCodes:
         assert list((out / blocked).iterdir()) == []
 
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("spce", {"axes": {"A": 0, "B": 45}, "n": 2**62, "seed": 1}),
+        ("qkd", {"axis": 0, "n": 2**62, "seed": 1}),
+    ])
+    def test_allocation_failure_exits_five(self, tmp_path, capsys, command, cfg):
+        # 2^62 outcomes ask for 4 EiB at the first allocation, which no machine grants
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory:") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
 class TestReplay:
     @pytest.mark.parametrize("command,cfg", [
         ("spce", {"axes": STANDARD_AXES, "n": 300, "seed": 51}),
         ("coins", {"experiment": "E4", "n": 50, "urn": [26, 26], "runs": 4, "seed": 52}),
         ("bertrand", {"machines": ["M1", "M3"], "n": 500, "seed": 53}),
         ("qkd", {"axis": 10, "epsilon": 0.2, "n": 400, "seed": 54}),
+        ("bertrand", {"machines": ["M2"], "n": 50, "seed": 2**64 - 1}),  # seeds keep 64 bits
     ])
     def test_replay_reproduces_outputs(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)

@@ -207,6 +207,10 @@ class TestRemoveCoins:
         with pytest.raises(DomainError):
             remove_coins(UrnState(2, 2), 5, substream(0, 0))
 
+    def test_negative_removal_rejected(self):
+        with pytest.raises(DomainError, match="removal count must be >= 0"):
+            remove_coins(UrnState(2, 2), -1, substream(0, 0))
+
 
 class TestOutcomeLaw:
     @pytest.mark.parametrize("generator_id,params,message", [
@@ -324,12 +328,35 @@ class TestSeriesRoundTrip:
         with pytest.raises(DomainError):
             TimeSeries(np.array([1, 0, -1]))
 
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            TimeSeries(np.ones((2, 3)))
+
     @pytest.mark.parametrize("values", [[1.9, -1.2, 1.0], np.array([True, True]), [1, -1, 257]],
                              ids=["fractional", "bool", "wraps-in-int8"])
     def test_values_checked_before_the_int8_cast(self, values):
         with pytest.raises(DomainError, match=r"\+1 or -1"):
             TimeSeries(values)
         assert TimeSeries([1.0, -1.0, 1]).values.tolist() == [1, -1, 1]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text('\n{"kind": "header", "n": 1}\n\n{"index": 0, "outcome": -1}\n\n')
+        assert [s.values.tolist() for s in read_timeseries_jsonl(path)] == [[-1]]
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": "header", "n": -1}\n', "line 1: header 'n' must be a non-negative integer"),
+        ('{"kind": "header", "n": 1.0}\n', "line 1: header 'n' must be a non-negative integer"),
+        ('{"index": 0, "outcome": 1}\n', "line 1: trial record before any header"),
+        ('{"kind": "header", "n": 1}\n{"index": 0}\n', "line 2: trial record missing 'index' or 'outcome'"),
+        ('{"kind": "header", "n": 1}\n{"outcome": 1}\n', "line 2: trial record missing 'index' or 'outcome'"),
+        ("\n\n", "no series found in file"),
+    ], ids=["negative-n", "float-n", "record-before-header", "no-outcome", "no-index", "no-series"])
+    def test_malformed_file_raises(self, tmp_path, text, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_timeseries_jsonl(path)
 
     def test_index_gap_raises_with_line_number(self, tmp_path):
         path = tmp_path / "gap.jsonl"

@@ -246,6 +246,10 @@ class TestRunsTest:
         with pytest.raises(DomainError):
             runs_test(np.array([1, -1] * 5, dtype=np.int8), 0.05)
 
+    def test_two_dimensional_sample_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            runs_test(np.ones((2, 20), dtype=np.int8), 0.05)
+
     def test_values_other_than_plus_minus_one_rejected(self):
         bad = np.array([1, 0, -1] * 10)
         with pytest.raises(DomainError, match=r"\+1 or -1"):
@@ -358,6 +362,10 @@ class TestPurityVerdict:
         verdict = purity_verdict(e6_family(31, runs=2, n=1000), [], 0, 0.05, master_seed=31)
         for report in verdict.reports:
             assert report.reject == (report.p_value < report.alpha)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DomainError, match="sample 'S0' is empty"):
+            Sample(TimeSeries([]), "S0")
 
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):

@@ -81,6 +81,11 @@ class TestMismatchRate:
         assert mismatch_rate(KeyPair(bits, bits.copy(), meta)) == 0.0
         assert mismatch_rate(KeyPair(bits, 1 - bits, meta)) == 1.0
 
+    def test_empty_keys_rejected(self):
+        empty = np.zeros(0, dtype=np.uint8)
+        with pytest.raises(DomainError, match="empty keys"):
+            mismatch_rate(KeyPair(empty, empty, {}))
+
     def test_length_mismatch_is_an_invariant_breach(self):
         with pytest.raises(DomainError):
             KeyPair(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8), {})

@@ -11,12 +11,10 @@ from spcelab.randkit import (
     BLOCK_ROWS,
     CapSpec,
     Direction,
-    hypergeometric_step_prob,
     sample_cap,
     stream_blocks,
     stream_uniforms,
     substream,
-    uniform_direction,
 )
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -205,44 +203,3 @@ class TestSampleCap:
             assert np.all(slack <= cap.epsilon + 1e-12)
             norms = np.linalg.norm(pts, axis=1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-    def test_uniform_direction_matches_full_cap(self):
-        a = uniform_direction(substream(3, 1), size=10)
-        b = sample_cap(CapSpec(Z, 2.0), substream(3, 1), size=10)
-        np.testing.assert_array_equal(a, b)
-
-
-class TestHypergeometricStep:
-    def test_initial_box(self):
-        assert hypergeometric_step_prob(0, 0, 51) == 0.5
-
-    def test_exhausted_blue(self):
-        assert hypergeometric_step_prob(51, 51, 51) == 0.0
-
-    def test_late_draw(self):
-        assert hypergeometric_step_prob(100, 50, 51) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("n_per_color", [2, 3, 4])
-    def test_matches_exhaustive_enumeration(self, n_per_color):
-        for k in range(2 * n_per_color - 1):
-            for m in range(max(0, k - n_per_color), min(k, n_per_color) + 1):
-                exact = oracles.urn_step_prob_enumerated(n_per_color, n_per_color, k, m)
-                assert hypergeometric_step_prob(k, m, n_per_color) == pytest.approx(float(exact))
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            hypergeometric_step_prob(5, 6, 10)  # m > k
-        with pytest.raises(DomainError):
-            hypergeometric_step_prob(20, 0, 10)  # k >= 2N
-        with pytest.raises(DomainError):
-            hypergeometric_step_prob(8, 6, 5)  # m > N
-        with pytest.raises(DomainError):
-            hypergeometric_step_prob(9, 2, 5)  # k - m > N
-        with pytest.raises(DomainError):
-            hypergeometric_step_prob(0.5, 0, 5)
-
-    def test_bool_arguments_rejected(self):
-        with pytest.raises(DomainError, match="k must be an integer, got bool"):
-            hypergeometric_step_prob(True, False, 2)
-        with pytest.raises(DomainError, match="n_per_color must be an integer, got bool"):
-            hypergeometric_step_prob(1, 0, True)

@@ -142,6 +142,11 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             run_experiment(pol(0.0), pol(0.0), 0, master_seed=0)
 
+    def test_empty_run_rejected(self):
+        empty = np.zeros(0, dtype=np.int8)
+        with pytest.raises(DomainError, match="at least one pair"):
+            ExperimentRun(pol(0.0), pol(0.0), empty, empty, master_seed=0, stream_id=0)
+
 
 #: Pair counts around the kernel's block boundaries.
 BLOCK_EDGES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7)
@@ -196,13 +201,6 @@ class TestPairKernel:
         assert [r["s1"] for r in records] == s1[:n - 1].tolist()
         assert [r["s2"] for r in records] == s2[:n - 1].tolist()
 
-    def test_run_without_stream_key_cannot_rebuild_directions(self):
-        s1 = np.array([1, -1], dtype=np.int8)
-        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1)
-        assert list(record_directions(run, 0)) == []
-        with pytest.raises(DomainError):
-            list(record_directions(run))
-
     def test_spce_memory_does_not_grow_with_n(self, tmp_path):
         # 2e6 pairs per setting pair: materialized directions would take several hundred MB
         if not Path("/proc/self/status").exists():
@@ -228,7 +226,7 @@ class TestPairKernel:
 class TestEmpiricalCorrelator:
     def test_anticorrelated_run_gives_plus_one(self):
         s1 = np.array([1, -1, 1, 1], dtype=np.int8)
-        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1)
+        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1, master_seed=0, stream_id=0)
         assert empirical_correlator(run) == 1.0
 
     def test_orthogonal_settings_vanish(self):
@@ -291,6 +289,10 @@ class TestPassageProbability:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             passage_probability(pol(0.0), pol(0.0), "exact")
+
+    def test_monte_carlo_needs_a_pair(self):
+        with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
+            passage_probability(pol(0.0), pol(0.0), "monte_carlo", n=0)
 
     def test_monte_carlo_blocks_match_one_draw_and_quadrature(self):
         n = 3 * BLOCK_ROWS + 7
@@ -367,6 +369,11 @@ class TestSharedLambdaModel:
         _, corr = run_shared_lambda_model(a, a_p, b, b_p, 1_000_000, master_seed=77)
         s = chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
         assert abs(s - 2.0) < 0.01
+
+    def test_zero_pairs_rejected(self):
+        a, a_p, b, b_p = (Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
+        with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
+            run_shared_lambda_model(a, a_p, b, b_p, 0, master_seed=0)
 
     def test_run_carries_count_and_settings(self):
         run, _ = run_shared_lambda_model(Z, Z, Z, Z, 100, master_seed=0)
@@ -463,6 +470,12 @@ class TestFactorizedModel:
         )
         estimate = ch_factorized_probability(model, Z, Z, n=200_000, master_seed=9)
         assert abs(estimate - 0.75) < 4 * oracles.binomial_sigma(0.75, 200_000)
+
+    def test_unknown_named_prior_rejected(self):
+        model = LambdaModel("uniform_disk", lambda lam, s: np.ones(len(lam)),
+                            lambda lam, s: np.ones(len(lam)))
+        with pytest.raises(DomainError, match="unknown named prior 'uniform_disk'"):
+            ch_factorized_probability(model, Z, Z, n=100)
 
     def test_detection_range_validated(self):
         model = LambdaModel("uniform_sphere", lambda lam, s: np.full(len(lam), 1.5),
