@@ -79,10 +79,12 @@ def _load_object(path, what) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant,
                          parse_float=_finite(float), parse_int=_finite(int))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     except ConfigError as exc:  # a NaN or out-of-range number: name the file
         raise ConfigError(f"{what} {path}: {exc}") from exc

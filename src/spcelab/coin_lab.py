@@ -251,7 +251,8 @@ def read_timeseries_jsonl(path):
     Raises :class:`FormatError` with the offending line number on malformed
     input: bad JSON or a record that is not an object, records before any
     header, outcomes other than the integers +1/-1, indices that are not
-    consecutive integers, or a truncated final series.
+    consecutive integers, or a truncated final series.  A file that is not
+    UTF-8 text raises it without a line number.
     """
     out = []
     header = None
@@ -272,37 +273,42 @@ def read_timeseries_jsonl(path):
         }
         out.append(TimeSeries(np.asarray(values, dtype=np.int8), meta))
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", lineno) from exc
-            if not isinstance(record, dict):
-                raise FormatError("record must be a JSON object", lineno)
-            if record.get("kind") == "header":
-                finish(lineno)
-                if type(record.get("n")) is not int or record["n"] < 0:
-                    raise FormatError("header 'n' must be a non-negative integer", lineno)
-                header = record
-                values = []
-                continue
-            if header is None:
-                raise FormatError("trial record before any header", lineno)
-            if "outcome" not in record or "index" not in record:
-                raise FormatError("trial record missing 'index' or 'outcome'", lineno)
-            if type(record["outcome"]) is not int or record["outcome"] not in (1, -1):
-                raise FormatError(f"outcome must be +1 or -1, got {record['outcome']}", lineno)
-            if type(record["index"]) is not int or record["index"] != len(values):
-                raise FormatError(
-                    f"expected index {len(values)}, got {record['index']}", lineno
-                )
-            values.append(record["outcome"])
-        finish(lineno + 1)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lineno = 0
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON ({exc.msg})", lineno) from exc
+                except RecursionError as exc:
+                    raise FormatError("invalid JSON (nested too deeply)", lineno) from exc
+                if not isinstance(record, dict):
+                    raise FormatError("record must be a JSON object", lineno)
+                if record.get("kind") == "header":
+                    finish(lineno)
+                    if type(record.get("n")) is not int or record["n"] < 0:
+                        raise FormatError("header 'n' must be a non-negative integer", lineno)
+                    header = record
+                    values = []
+                    continue
+                if header is None:
+                    raise FormatError("trial record before any header", lineno)
+                if "outcome" not in record or "index" not in record:
+                    raise FormatError("trial record missing 'index' or 'outcome'", lineno)
+                if type(record["outcome"]) is not int or record["outcome"] not in (1, -1):
+                    raise FormatError(f"outcome must be +1 or -1, got {record['outcome']}", lineno)
+                if type(record["index"]) is not int or record["index"] != len(values):
+                    raise FormatError(
+                        f"expected index {len(values)}, got {record['index']}", lineno
+                    )
+                values.append(record["outcome"])
+            finish(lineno + 1)
+    except UnicodeDecodeError as exc:  # buffered decoding knows no reliable line
+        raise FormatError(f"not UTF-8 text ({exc.reason})") from exc
     if not out:
         raise FormatError("no series found in file", None)
     return out

@@ -136,60 +136,26 @@ class Reduction:
         return f"{self.kind}({self.param:g})"
 
 
-def _series_values(data) -> np.ndarray:
-    """Extract the +/-1 outcome array from Sample, TimeSeries, or array-like."""
-    if isinstance(data, Sample):
-        return data.series.values
-    if isinstance(data, TimeSeries):
-        return data.values
-    values = np.asarray(data)
-    if values.ndim != 1:
-        raise DomainError(f"expected a one-dimensional sample, got shape {values.shape}")
-    if not np.all((values == 1) | (values == -1)):
-        raise DomainError("sample values must be +1 or -1")
-    return values
-
-
 def _reduce(values, procedure: Reduction, rng) -> np.ndarray:
     """The outcomes a reduction keeps, in order; ``thin`` draws one uniform per outcome."""
     if procedure.kind == "thin":
-        if rng is None:
-            raise DomainError("thin reduction requires an RngStream")
         return values[rng.random(len(values)) < procedure.param]
     if procedure.kind == "every_kth":
         return values[:: int(procedure.param)]
     return values[: int(procedure.param * len(values))]  # prefix
 
 
-def reduce_intensity(series: TimeSeries, procedure: Reduction, rng: RngStream = None) -> TimeSeries:
-    """Apply an intensity-reduction procedure, preserving outcome order.
-
-    ``thin(q)`` keeps each outcome independently with probability ``q`` (needs
-    ``rng``); ``every_kth(k)`` keeps indices 0, k, 2k, ...; ``prefix(f)``
-    keeps the leading fraction ``f``.
-    """
-    meta = {**series.meta, "reduction": str(procedure)}
-    return TimeSeries(_reduce(series.values, procedure, rng).copy(), meta)
-
-
-def _subensemble(values, fraction, rng: RngStream, floor=RICHNESS_FLOOR) -> np.ndarray:
+def _subensemble(values, fraction, rng: RngStream) -> np.ndarray:
     """A uniformly random subset of the stated fraction of ``values``, order preserved."""
     if not 0.0 < fraction <= 1.0:
         raise DomainError(f"fraction must be in (0, 1], got {fraction}")
     n = len(values)
     m = int(fraction * n)
-    if m < floor:
+    if m < RICHNESS_FLOOR:
         raise DomainError(
-            f"sub-ensemble of size {m} is below the richness floor of {floor} outcomes"
+            f"sub-ensemble of size {m} is below the richness floor of {RICHNESS_FLOOR} outcomes"
         )
     return values[np.sort(rng.generator.permutation(n)[:m])]
-
-
-def random_subensemble(series: TimeSeries, fraction: float, rng: RngStream,
-                       floor: int = RICHNESS_FLOOR) -> TimeSeries:
-    """A uniformly random subset of the stated fraction, order preserved."""
-    meta = {**series.meta, "subensemble_fraction": fraction}
-    return TimeSeries(_subensemble(series.values, fraction, rng, floor), meta)
 
 
 #: Outcomes counted per pass of :func:`_member_counts`; a longer member is a pass of its own.
@@ -266,22 +232,6 @@ def _chi2_report(n_pos, n_neg, alpha) -> TestReport:
     return TestReport("chi2_homogeneity", statistic, p_value, alpha)
 
 
-def chi2_homogeneity(samples, alpha) -> TestReport:
-    """Chi-square homogeneity test of k binary samples against one population.
-
-    Builds the k x 2 contingency table of (+1, -1) counts; the statistic has
-    k - 1 degrees of freedom under the null that all samples share one
-    outcome probability.  If any expected cell count falls below 5 the
-    classical approximation is unreliable and the report is flagged invalid
-    rather than silently trusted (below 5: computed but invalid; an expected
-    count of exactly 0 leaves the statistic undefined).
-    """
-    if len(samples) < 2:
-        raise DomainError(f"homogeneity test needs at least 2 samples, got {len(samples)}")
-    lengths, n_pos, _ = _member_counts([_series_values(s) for s in samples])
-    return _chi2_report(n_pos, lengths - n_pos, alpha)
-
-
 def _runs_report(n, n_pos, runs, alpha, label="") -> TestReport:
     """Runs test report from a member's length, +1 count and run count (Python ints)."""
     if n < 20:
@@ -294,18 +244,6 @@ def _runs_report(n, n_pos, runs, alpha, label="") -> TestReport:
     z = (runs - mu) / sigma
     p_value = float(math.erfc(abs(z) / math.sqrt(2.0)))
     return TestReport("runs_test", z, p_value, alpha, label, note=f"runs={runs}")
-
-
-def runs_test(series, alpha) -> TestReport:
-    """Wald-Wolfowitz runs test of randomness for a binary series.
-
-    Compares the observed number of runs R against its null moments
-    ``mu = 2 n+ n- / n + 1`` and
-    ``sigma^2 = 2 n+ n- (2 n+ n- - n) / (n^2 (n - 1))`` via the normal
-    approximation; the p-value is two-sided.
-    """
-    n, n_pos, runs = (int(c[0]) for c in _member_counts([_series_values(series)]))
-    return _runs_report(n, n_pos, runs, alpha)
 
 
 def holm_adjust(p_values) -> np.ndarray:

@@ -75,17 +75,17 @@ class SharedLambdaRun:
         return self.n
 
 
-def _pair_blocks(pol_a: CapSpec, pol_b: CapSpec, n: int, master_seed, stream_id, width):
+def _pair_blocks(pol_a: CapSpec, pol_b: CapSpec, n: int, master_seed, stream_id):
     """Yield ``(uniforms, cos_ab)`` for ``n`` pairs, in the blocks of ``randkit.stream_blocks``.
 
-    Pair ``i`` consumes the ``width`` uniforms at positions ``width i ..`` of
+    Pair ``i`` consumes the five uniforms at positions ``5 i .. 5 i + 4`` of
     the keyed stream; the first four are (cap A cosine, cap A azimuth, cap B
     cosine, cap B azimuth).  No direction is built: with ``alpha`` and
     ``beta`` the caps' coordinates in their frames ``F_A`` and ``F_B`` (see
     ``randkit._cap_coefficients``), ``cos(theta_ab) = alpha . (F_A F_B^T) beta``.
     """
     gram = _cap_frame(pol_a) @ _cap_frame(pol_b).T
-    for u in stream_blocks(substream(master_seed, stream_id), n, width):
+    for u in stream_blocks(substream(master_seed, stream_id), n, 5):
         xa, ya, za = _cap_coefficients(pol_a, u[:, 0], u[:, 1])
         beta = _cap_coefficients(pol_b, u[:, 2], u[:, 3])
         # column j of the Gram matrix gives the j-th coordinate of alpha F_A F_B^T
@@ -126,7 +126,7 @@ def run_experiment(pol_a: CapSpec, pol_b: CapSpec, n: int, master_seed, stream_i
     s1 = np.empty(n, dtype=np.int8)
     s2 = np.empty(n, dtype=np.int8)
     start = 0
-    for u, cos_ab in _pair_blocks(pol_a, pol_b, n, master_seed, stream_id, 5):
+    for u, cos_ab in _pair_blocks(pol_a, pol_b, n, master_seed, stream_id):
         stop = start + len(u)
         _outcomes_from_uniform(cos_ab, u[:, 4], s1[start:stop], s2[start:stop])
         start = stop
@@ -162,40 +162,6 @@ def empirical_correlator(run: ExperimentRun) -> float:
 def correlator_stderr(r: float, n: int) -> float:
     """Binomial standard error of an empirical correlator of ``n`` +/-1 products."""
     return math.sqrt(max(1.0 - r * r, 0.0) / n)
-
-
-def passage_probability(pol_a: CapSpec, pol_b: CapSpec, method="quadrature", *,
-                        n=200_000, master_seed=0, stream_id=0, nodes=48) -> float:
-    """Probability that both particles pass, averaged over the caps.
-
-    Evaluates the double integral of ``sin^2(theta_ab / 2) / 2`` over the two
-    cap distributions, either by Monte Carlo (``method="monte_carlo"``, ``n``
-    sampled direction pairs) or by tensor-product Gauss-Legendre quadrature
-    over both caps' (cosine, azimuth) coordinates (``method="quadrature"``,
-    ``nodes`` points per coordinate).
-    """
-    if method == "monte_carlo":
-        if n < 1:
-            raise DomainError(f"pair count must be >= 1, got {n}")
-        blocks = _pair_blocks(pol_a, pol_b, int(n), master_seed, stream_id, 4)
-        return math.fsum(float(np.sum(0.25 * (1.0 - cos_ab))) for _, cos_ab in blocks) / int(n)
-    if method == "quadrature":
-        pts_a, w_a = _cap_quadrature(pol_a, nodes)
-        pts_b, w_b = _cap_quadrature(pol_b, nodes)
-        mean_dot = float(w_a @ (pts_a @ pts_b.T) @ w_b)
-        return 0.25 * (1.0 - mean_dot)
-    raise DomainError(f"method must be 'monte_carlo' or 'quadrature', got {method!r}")
-
-
-def _cap_quadrature(cap: CapSpec, nodes: int):
-    """Gauss-Legendre points and normalized weights for a uniform cap."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    u = 0.5 * (x + 1.0)          # cosine coordinate on [0, 1]
-    v = 0.5 * (x + 1.0)          # azimuth coordinate on [0, 1]
-    wu = 0.5 * w
-    pts = _cap_from_uniforms(cap, np.repeat(u, nodes), np.tile(v, nodes))
-    weights = np.repeat(wu, nodes) * np.tile(wu, nodes)
-    return pts, weights
 
 
 def chsh(r_ab, r_ab_prime, r_a_prime_b, r_a_prime_b_prime) -> float:

@@ -6,8 +6,10 @@ place.  Nothing imports the sampling code paths under test; the pair twins
 below draw from a stream and map uniforms to cap directions with
 ``randkit._cap_from_uniforms``, whose geometry ``test_randkit`` checks on its
 own, and build everything else here.  The scalar chord machines draw one
-trial per call, and ``purity_reports`` runs the purity battery one member at
-a time through the public one-member tests.
+trial per call.  ``purity_reports`` is a second implementation of the purity
+battery, one member at a time: it takes the chi-square from scipy and counts
+runs with ``np.diff``, and it uses nothing of ``spcelab.purity`` but the
+``Sample`` and ``TestReport`` data classes.
 """
 
 import itertools
@@ -19,14 +21,7 @@ import numpy as np
 
 from spcelab.bertrand import INNER_RADIUS, RADIUS, Machine
 from spcelab.errors import DomainError
-from spcelab.purity import (
-    Sample,
-    TestReport,
-    chi2_homogeneity,
-    random_subensemble,
-    reduce_intensity,
-    runs_test,
-)
+from spcelab.purity import Sample, TestReport
 from spcelab.randkit import CapSpec, Direction, RngStream, _cap_from_uniforms, substream
 
 
@@ -83,11 +78,6 @@ def pair_mean_dot_bruteforce(eps_a, eps_b, cos_ab, n_u=60, n_phi=60):
 def same_outcome_prob(eps_a, eps_b, cos_ab):
     """P(s1 = s2) for the singlet cap model: E[sin^2(theta_ab / 2)]."""
     return 0.5 * (1.0 - pair_mean_dot(eps_a, eps_b, cos_ab))
-
-
-def passage_prob(eps_a, eps_b, cos_ab):
-    """The double integral of sin^2(theta_ab / 2) / 2 over both caps."""
-    return 0.25 * (1.0 - pair_mean_dot(eps_a, eps_b, cos_ab))
 
 
 def contextual_correlator(eps_a, eps_b, cos_ab):
@@ -479,7 +469,11 @@ def ks_two_sample(x, y, alpha):
 
 
 # ---------------------------------------------------------------------------
-# purity battery: one member at a time, as the per-member loop it replaced
+# purity battery: an independent second implementation, one member at a time
+
+#: The richness floor the battery documents: a sub-ensemble needs this many outcomes.
+SUBENSEMBLE_FLOOR = 20
+
 
 def holm_loop(p_values):
     """Holm step-down adjusted p-values from an explicit running maximum."""
@@ -493,44 +487,106 @@ def holm_loop(p_values):
     return adjusted
 
 
+def runs_report(values, alpha, label=""):
+    """Wald-Wolfowitz runs test of one +/-1 series, two-sided normal approximation.
+
+    Runs are counted as one plus the nonzero steps of ``np.diff``, and ``z``
+    uses :func:`runs_moments`.  Raises :class:`DomainError` with the
+    battery's wording for a series shorter than 20 or of one symbol.
+    """
+    from scipy.stats import norm
+
+    values = np.asarray(values)
+    n = len(values)
+    if n < 20:
+        raise DomainError(f"runs test needs series length >= 20, got {n}")
+    n_pos = int(np.count_nonzero(values == 1))
+    if n_pos in (0, n):
+        raise DomainError("runs test is undefined for a single-symbol series")
+    runs = 1 + int(np.count_nonzero(np.diff(values)))
+    mu, sigma = runs_moments(n_pos, n - n_pos)
+    z = (runs - mu) / sigma
+    return TestReport("runs_test", z, float(2.0 * norm.sf(abs(z))), alpha, label, note=f"runs={runs}")
+
+
+def chi2_family_report(arrays, alpha):
+    """Chi-square homogeneity of k +/-1 series from ``scipy.stats.chi2_contingency``.
+
+    The k x 2 table of (+1, -1) counts has k - 1 degrees of freedom.  As in
+    the battery, an expected count of 0 leaves the statistic undefined and
+    one below 5 makes the report invalid.
+    """
+    from scipy.stats import chi2_contingency
+    from scipy.stats.contingency import expected_freq
+
+    table = np.array([[np.count_nonzero(a == 1), np.count_nonzero(a == -1)] for a in arrays])
+    expected = expected_freq(table)
+    if np.any(expected == 0):
+        return TestReport("chi2_homogeneity", math.nan, math.nan, alpha, "family", valid=False,
+                          note="expected cell count of 0; statistic undefined")
+    result = chi2_contingency(table, correction=False)
+    valid = bool(np.all(expected >= 5))
+    note = "" if valid else "expected cell count below 5; approximation unreliable"
+    return TestReport("chi2_homogeneity", float(result.statistic), float(result.pvalue), alpha,
+                      "family", valid=valid, note=note)
+
+
+def _procedure_name(procedure):
+    if procedure.kind == "every_kth":
+        return f"every_kth({int(procedure.param)})"
+    return f"{procedure.kind}({procedure.param:g})"
+
+
+def _reduced(values, procedure, rng):
+    """The outcomes a reduction keeps, by index arrays; ``thin`` draws one uniform per outcome."""
+    if procedure.kind == "thin":
+        return values[np.flatnonzero(rng.random(len(values)) < procedure.param)]
+    if procedure.kind == "every_kth":
+        return values[np.arange(0, len(values), int(procedure.param))]
+    return values[np.arange(int(procedure.param * len(values)))]
+
+
 def purity_reports(base_samples, procedures, subensemble_count, alpha, master_seed=0,
                    subensemble_fraction=0.5):
     """Reports and notes of the purity battery (power-floor note aside), member by member.
 
-    Builds each reduced member with ``reduce_intensity`` and each sub-ensemble
-    with ``random_subensemble`` on one stream, in the battery's order, then
-    runs ``chi2_homogeneity`` over the family, ``runs_test`` on each member
-    and :func:`holm_loop` over the valid reports.
+    Builds the family on stream 0 in the battery's order: each base sample's
+    reductions, then the sub-ensembles round-robin over the base samples,
+    each ``np.sort(permutation(n)[:m])``, drawn only when ``m`` reaches the
+    richness floor.  Then :func:`chi2_family_report` over the family,
+    :func:`runs_report` on each member and :func:`holm_loop` over the valid
+    reports.
     """
     rng = substream(master_seed, 0)
     notes = []
-    family = list(base_samples)
+    family = [(s.label, s.series.values) for s in base_samples]
     for sample in base_samples:
         for procedure in procedures:
-            reduced = reduce_intensity(sample.series, procedure, rng)
+            label = f"{sample.label}({_procedure_name(procedure)})"
+            reduced = _reduced(sample.series.values, procedure, rng)
             if len(reduced) == 0:
-                notes.append(f"{sample.label}({procedure}): reduction emptied the sample; excluded")
-                continue
-            family.append(Sample(reduced, f"{sample.label}({procedure})"))
+                notes.append(f"{label}: reduction emptied the sample; excluded")
+            else:
+                family.append((label, reduced))
     for k in range(subensemble_count):
         parent = base_samples[k % len(base_samples)]
-        try:
-            sub = random_subensemble(parent.series, subensemble_fraction, rng)
-        except DomainError as exc:
-            notes.append(f"{parent.label}[sub{k}]: {exc}; excluded")
+        label = f"{parent.label}[sub{k}]"
+        n = len(parent.series)
+        m = int(subensemble_fraction * n)
+        if m < SUBENSEMBLE_FLOOR:
+            notes.append(f"{label}: sub-ensemble of size {m} is below the richness floor of "
+                         f"{SUBENSEMBLE_FLOOR} outcomes; excluded")
             continue
-        family.append(Sample(sub, f"{parent.label}[sub{k}]"))
+        family.append((label, parent.series.values[np.sort(rng.generator.permutation(n)[:m])]))
 
-    reports = [chi2_homogeneity(family, alpha)]
-    reports[0].label = "family"
-    for member in family:
+    reports = [chi2_family_report([values for _, values in family], alpha)]
+    for label, values in family:
         try:
-            report = runs_test(member, alpha)
+            reports.append(runs_report(values, alpha, label))
         except DomainError as exc:
-            report = TestReport("runs_test", math.nan, math.nan, alpha, valid=False, note=str(exc))
-            notes.append(f"{member.label}: runs test invalid ({exc})")
-        report.label = member.label
-        reports.append(report)
+            reports.append(TestReport("runs_test", math.nan, math.nan, alpha, label,
+                                      valid=False, note=str(exc)))
+            notes.append(f"{label}: runs test invalid ({exc})")
     valid = [r for r in reports if r.valid]
     for report, p_adj in zip(valid, holm_loop([r.p_value for r in valid])):
         report.p_adjusted = float(p_adj)

@@ -15,7 +15,7 @@ import oracles
 from spcelab.bertrand import Machine, estimate_probability
 from spcelab.cli import main as cli_main
 from spcelab.coin_lab import OutcomeLaw, sample_runs
-from spcelab.purity import Reduction, Sample, Verdict, purity_verdict, runs_test
+from spcelab.purity import Reduction, Sample, Verdict, _member_counts, _runs_report, purity_verdict
 from spcelab.qkd import generate_keys, mismatch_rate
 from spcelab.randkit import CapSpec, Direction, substream
 from spcelab.spce import (
@@ -167,14 +167,20 @@ def test_criterion_7_purity_discrimination():
               f"pure verdicts {pure_count}/100 seeds")
 
 
+def lab_runs_test(series, alpha):
+    """The purity battery's runs test of one series: its counting pass and its report."""
+    (n,), (n_pos,), (runs,) = _member_counts([series.values])
+    return _runs_report(int(n), int(n_pos), int(runs), alpha)
+
+
 def test_criterion_8_randomness_tests():
     d2 = OutcomeLaw("device:D2", {"initial_face": "B", "n": 100}).series(substream(8, 0))
-    d2_report = runs_test(d2, 0.01)
+    d2_report = lab_runs_test(d2, 0.01)
     ok = d2_report.p_value < 1e-15
 
     alpha, reps, n = 0.05, 1000, 10_000
     rejections = sum(
-        runs_test(OutcomeLaw("device:D3", {"initial_face": "B", "n": n}).series(substream(seed, 1)), alpha).reject
+        lab_runs_test(OutcomeLaw("device:D3", {"initial_face": "B", "n": n}).series(substream(seed, 1)), alpha).reject
         for seed in range(reps)
     )
     rate = rejections / reps

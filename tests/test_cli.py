@@ -18,6 +18,10 @@ from spcelab.qkd import generate_keys
 from spcelab.randkit import Direction, RngStream
 
 
+#: A JSON array nested 100,000 deep, deeper than the parser can recurse.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -284,6 +288,21 @@ class TestPurityCommand:
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
         assert (out / "verdict.json").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("data,message", [
+        (b'{"kind": "header", "n": 1}\n\xff\n', "not UTF-8 text"),
+        ((DEEP_JSON + "\n").encode(), "line 1: invalid JSON (nested too deeply)"),
+    ], ids=["not-utf8", "too-deep"])
+    def test_undecodable_input_is_an_input_error(self, tmp_path, capsys, data, message):
+        (tmp_path / "bad.jsonl").write_bytes(data)
+        cfg = write_config(tmp_path, {"inputs": ["bad.jsonl"], "seed": 0})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "verdict.json").write_text("kept\n")
+        assert main(["purity", "--config", str(cfg), "--out", str(out)]) == 4
+        assert f"bad.jsonl: {message}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+        assert (out / "verdict.json").read_text() == "kept\n"
+
     def test_empty_input_series_is_an_input_error(self, tmp_path, capsys):
         data = tmp_path / "series.jsonl"
         data.write_text('{"kind": "header", "n": 2}\n{"index": 0, "outcome": 1}\n'
@@ -476,15 +495,37 @@ def test_out_of_range_number_in_a_manifest_is_a_config_error(tmp_path, capsys):
     assert "beyond the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage,message", [
+    (lambda text: b"\xff\xfe" + text.encode(), "is not UTF-8 text"),
+    (lambda text: text.replace('"axis": 10', '"axis": ' + DEEP_JSON).encode(),
+     "maximum recursion depth exceeded"),
+], ids=["not-utf8", "too-deep"])
+def test_unusable_manifest_is_a_config_error(tmp_path, capsys, damage, message):
+    cfg = write_config(tmp_path, {"axis": 10, "n": 10, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_bytes(damage(manifest.read_text()))
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(manifest), "--out", str(replayed)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "manifest.json" in err
+    assert not replayed.exists()
+
+
 @pytest.mark.parametrize("name,text,message", [
     ("nan.json", '{"axes": {"A": NaN, "B": 45}, "n": 10}', "NaN is not valid JSON"),
     ("broken.json", '{"axes": {"A": 0, "B": 45}, "n": 10', "is not valid JSON"),
     ("list.json", '[{"axes": {"A": 0, "B": 45}, "n": 10}]', "must be a JSON object"),
     ("missing.json", None, "cannot read config"),
-], ids=["nan", "invalid-json", "not-an-object", "unreadable"])
+    ("utf16.json", b'\xff\xfe{"axes": {"A": 0, "B": 45}, "n": 10}', "is not UTF-8 text"),
+    ("deep.json", '{"axes": ' + DEEP_JSON + ', "n": 10}', "maximum recursion depth exceeded"),
+], ids=["nan", "invalid-json", "not-an-object", "unreadable", "not-utf8", "too-deep"])
 def test_unusable_config_file_is_a_config_error(tmp_path, capsys, name, text, message):
     cfg_path = tmp_path / name
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg_path.write_bytes(text)
+    elif text is not None:
         cfg_path.write_text(text)
     out = tmp_path / "out"
     assert main(["spce", "--config", str(cfg_path), "--out", str(out)]) == 3

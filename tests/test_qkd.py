@@ -11,7 +11,6 @@ import pytest
 import oracles
 import spcelab
 from spcelab.errors import DomainError
-from spcelab.purity import runs_test
 from spcelab.qkd import (
     KeyPair,
     ekert_test_statistic,
@@ -51,7 +50,7 @@ class TestGenerateKeys:
         keys = generate_keys(AXIS, 10_000, 0.1, 0.1, master_seed=5)
         for bits in (keys.alice, keys.bob):
             pm = np.where(bits == 1, 1, -1).astype(np.int8)
-            assert runs_test(pm, 0.01).p_value > 0.01
+            assert oracles.runs_report(pm, 0.01).p_value > 0.01
             frac = float(np.mean(bits))
             assert abs(frac - 0.5) < 2.576 * oracles.binomial_sigma(0.5, len(bits))
 

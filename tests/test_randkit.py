@@ -6,7 +6,6 @@ import pytest
 import oracles
 from spcelab import randkit
 from spcelab.errors import DomainError
-from spcelab.purity import runs_test
 from spcelab.randkit import (
     BLOCK_ROWS,
     CapSpec,
@@ -44,7 +43,7 @@ class TestStreams:
         interleaved = np.empty(20_000, dtype=np.int8)
         interleaved[0::2] = np.where(bits_a, 1, -1)
         interleaved[1::2] = np.where(bits_b, 1, -1)
-        assert runs_test(interleaved, alpha=0.01).p_value > 0.01
+        assert oracles.runs_report(interleaved, alpha=0.01).p_value > 0.01
         corr = np.corrcoef(bits_a, bits_b)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(10_000)
 

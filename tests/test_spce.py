@@ -23,7 +23,6 @@ from spcelab.spce import (
     empirical_correlator,
     factorized_correlator,
     independent_bound_check,
-    passage_probability,
     record_directions,
     run_experiment,
     run_shared_lambda_model,
@@ -260,49 +259,6 @@ class TestEmpiricalCorrelator:
             int(np.sum(base.s1 == 1)), n, int(np.sum(moved.s1 == 1)), n
         )
         assert abs(z) < 4.0
-
-
-class TestPassageProbability:
-    def test_aligned_sharp_polarizers_never_coincide(self):
-        assert passage_probability(pol(0.0), pol(0.0), "quadrature") == pytest.approx(0.0, abs=1e-12)
-        assert passage_probability(pol(0.0), pol(0.0), "monte_carlo", n=10_000) == 0.0
-
-    def test_antiparallel_sharp_polarizers(self):
-        p = passage_probability(pol(0.0), pol(180.0), "quadrature")
-        assert p == pytest.approx(0.5, abs=1e-12)
-
-    def test_smeared_aligned_matches_quadrature_oracle(self):
-        expected = oracles.passage_prob(0.1, 0.1, 1.0)
-        assert expected == pytest.approx(0.024375, abs=1e-9)
-        quad = passage_probability(pol(0.0, 0.1), pol(0.0, 0.1), "quadrature")
-        assert quad == pytest.approx(expected, abs=1e-9)
-        mc = passage_probability(pol(0.0, 0.1), pol(0.0, 0.1), "monte_carlo",
-                                 n=200_000, master_seed=5)
-        assert abs(mc - expected) < 5e-4
-
-    def test_methods_agree_generally(self):
-        p_a, p_b = pol(35.0, 0.6), pol(110.0, 1.2)
-        quad = passage_probability(p_a, p_b, "quadrature")
-        mc = passage_probability(p_a, p_b, "monte_carlo", n=400_000, master_seed=9)
-        assert abs(mc - quad) < 4e-3
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            passage_probability(pol(0.0), pol(0.0), "exact")
-
-    def test_monte_carlo_needs_a_pair(self):
-        with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
-            passage_probability(pol(0.0), pol(0.0), "monte_carlo", n=0)
-
-    def test_monte_carlo_blocks_match_one_draw_and_quadrature(self):
-        n = 3 * BLOCK_ROWS + 7
-        for p_a, p_b in KERNEL_POLARIZERS:
-            mc = passage_probability(p_a, p_b, "monte_carlo", n=n, master_seed=17, stream_id=2)
-            u = substream(17, 2).random((n, 4))
-            dots = np.einsum("ij,ij->i", _cap_from_uniforms(p_a, u[:, 0], u[:, 1]),
-                             _cap_from_uniforms(p_b, u[:, 2], u[:, 3]))
-            assert mc == pytest.approx(float(np.mean(0.25 * (1.0 - dots))), rel=1e-12, abs=1e-15)
-            assert abs(mc - passage_probability(p_a, p_b, "quadrature")) < 4e-3
 
 
 class TestChsh:
