@@ -10,7 +10,7 @@ coin_lab
     Bernoulli, urn, mixed-box, and pure-box devices.
 spce
     Contextual singlet pair model, empirical correlators, the CHSH statistic,
-    and the single-probability-space models bounded by 2.
+    and the shared-hidden-direction sign model, bounded by 2.
 purity
     Nonparametric homogeneity and randomness battery with a
     pure / mixed / inconclusive verdict.

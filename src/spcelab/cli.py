@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from . import bertrand as bertrand_mod
 from . import coin_lab, purity, qkd, spce
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError, shorten
 from .randkit import CapSpec, Direction, substream
 
 ENV_OUT_ROOT = "SPCELAB_OUT"
@@ -67,8 +67,7 @@ def _finite(parse):
     """A JSON number parser that rejects a literal beyond the float range, such as ``1e999``."""
     def number(token):
         if not math.isfinite(float(token)):
-            shown = token if len(token) <= 24 else token[:21] + "..."
-            raise ConfigError(f"number {shown} is beyond the float range")
+            raise ConfigError(f"number {shorten(token)} is beyond the float range")
         return parse(token)
     return number
 
@@ -128,28 +127,29 @@ def _get_int(cfg, key, minimum=None, default=_REQUIRED, bounded=True):
         return None
     _require(_is_int(value), f"'{key}' must be an integer")
     if minimum is not None:
-        _require(value >= minimum, f"'{key}' must be >= {minimum}, got {value}")
-    _require(not bounded or value < _INT_BOUND, f"'{key}' must be below 2^63, got {value}")
+        _require(value >= minimum, f"'{key}' must be >= {minimum}, got {shorten(repr(value))}")
+    _require(not bounded or value < _INT_BOUND,
+             f"'{key}' must be below 2^63, got {shorten(repr(value))}")
     return value
 
 
 def _get_number(cfg, key, default=None):
     value = cfg.get(key, default)
-    _require(value is not None, f"config is missing required field '{key}'")
     _require(_is_number(value), f"'{key}' must be a number")
     return float(value)
 
 
 def _get_bool(cfg, key, default):
     value = cfg.get(key, default)
-    _require(isinstance(value, bool), f"'{key}' must be true or false, got {value!r}")
+    _require(isinstance(value, bool), f"'{key}' must be true or false, got {shorten(repr(value))}")
     return value
 
 
 def _parse_urn(value) -> coin_lab.UrnState:
     _require(isinstance(value, list) and len(value) == 2
              and all(_is_int(v) and 0 <= v < _INT_BOUND for v in value),
-             f"'urn' must be a [n_blue, n_red] pair of integers in [0, 2^63), got {value!r}")
+             "'urn' must be a [n_blue, n_red] pair of integers in [0, 2^63),"
+             f" got {shorten(repr(value))}")
     return coin_lab.UrnState(*value)
 
 
@@ -162,18 +162,20 @@ def _parse_axis(value, name) -> Direction:
             return Direction.normalized(*[float(v) for v in value])
         except DomainError as exc:
             raise ConfigError(f"axis '{name}' is not a usable 3-vector: {exc}") from exc
-    raise ConfigError(f"axis '{name}' must be a degree angle or a 3-vector, got {value!r}")
+    raise ConfigError(f"axis '{name}' must be a degree angle or a 3-vector,"
+                      f" got {shorten(repr(value))}")
 
 
 def _parse_epsilon(value, name):
     _require(_is_number(value), f"'{name}' must be a number")
-    _require(0.0 <= value <= 2.0, f"'{name}' must lie in [0, 2], got {value}")
+    _require(0.0 <= value <= 2.0, f"'{name}' must lie in [0, 2], got {shorten(repr(value))}")
     return float(value)
 
 
 def _resolve_seed(cfg, override):
     seed = _get_int(cfg, "seed", default=0, bounded=False) if override is None else override
-    _require(0 <= seed < 2**64, f"the master seed must be an unsigned 64-bit integer, got {seed}")
+    _require(0 <= seed < 2**64,
+             f"the master seed must be an unsigned 64-bit integer, got {shorten(repr(seed))}")
     return seed
 
 
@@ -285,8 +287,8 @@ _EXPERIMENT_FIELDS = {**dict.fromkeys(("E1", "E2", "E3"), ("initial_face",)),
 
 def cmd_coins(cfg, seed, stage: Path, fmt):
     experiment = cfg.get("experiment")
-    _require(experiment in _EXPERIMENT_FIELDS,
-             f"'experiment' must be one of E1..E6 or E5E6, got {experiment!r}")
+    _require(isinstance(experiment, str) and experiment in _EXPERIMENT_FIELDS,
+             f"'experiment' must be one of E1..E6 or E5E6, got {shorten(repr(experiment))}")
     _check_fields(cfg, f"a coins config for experiment {experiment}",
                   *_COIN_FIELDS, *_EXPERIMENT_FIELDS[experiment])
     runs = _get_int(cfg, "runs", minimum=1, default=1)
@@ -361,7 +363,7 @@ def _purity_samples(cfg, seed):
             _check_fields(entry, "a generate entry", "box", "urn", "n", "count")
             box_name = entry.get("box")
             _require(box_name in ("E5", "E6"),
-                     f"generate 'box' must be 'E5' or 'E6', got {box_name!r}")
+                     f"generate 'box' must be 'E5' or 'E6', got {shorten(repr(box_name))}")
             urn = _parse_urn(entry.get("urn"))
             law = coin_lab.OutcomeLaw(coin_lab.EXPERIMENTS[box_name], {
                 "n_blue": urn.n_blue, "n_red": urn.n_red, "n": _get_int(entry, "n", minimum=1)})
@@ -384,11 +386,12 @@ def _purity_procedures(cfg):
         _require(isinstance(entry, dict) and "kind" in entry, "each procedure needs a 'kind'")
         _check_fields(entry, "a procedure", "kind", "param")
         param = entry.get("param", 1.0)
-        _require(_is_number(param), f"procedure 'param' must be a number, got {param!r}")
+        _require(_is_number(param),
+                 f"procedure 'param' must be a number, got {shorten(repr(param))}")
         try:
             procedures.append(purity.Reduction(entry["kind"], param))
         except DomainError as exc:
-            raise ConfigError(f"bad procedure {entry}: {exc}") from exc
+            raise ConfigError(f"bad procedure: {exc}") from exc
     return procedures
 
 
@@ -419,7 +422,7 @@ def cmd_bertrand(cfg, seed, stage: Path, fmt):
     machines = cfg.get("machines", ["M1", "M2", "M3"])
     _require(isinstance(machines, list) and machines, "'machines' must be a non-empty list")
     for name in machines:
-        _require(name in ("M1", "M2", "M3"), f"unknown machine {name!r}")
+        _require(name in ("M1", "M2", "M3"), f"unknown machine {shorten(repr(name))} in 'machines'")
     n = _get_int(cfg, "n", minimum=1)
 
     rows = []
@@ -540,7 +543,7 @@ def _drive(command, cfg, base_dir: Path, seed, out: Path, fmt, alpha=None) -> in
     folded into ``alpha``, and relative purity ``inputs`` paths are made
     absolute against ``base_dir`` (the config file's directory).
     """
-    _require(fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}")
+    _require(fmt in FORMATS, f"format must be one of {FORMATS}, got {shorten(repr(fmt))}")
     if alpha is not None:
         cfg["alpha"] = alpha
     if command == "purity" and isinstance(cfg.get("inputs"), list):
@@ -552,7 +555,8 @@ def cmd_replay(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = _load_object(manifest_path, "manifest")
     command = manifest.get("command")
-    _require(command in COMMANDS, f"manifest names unknown command {command!r}")
+    _require(isinstance(command, str) and command in COMMANDS,
+             f"manifest names unknown command {shorten(repr(command))}")
     _require(isinstance(manifest.get("config"), dict), "manifest 'config' must be an object")
     out = Path(args.out) if args.out is not None else manifest_path.parent
     return _drive(command, manifest["config"], manifest_path.resolve().parent,

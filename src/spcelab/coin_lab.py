@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, shorten
 from .randkit import RngStream, stream_uniforms, substream
 
 
@@ -137,7 +137,8 @@ class OutcomeLaw:
         if not urn and n < 1:
             raise DomainError(f"trial count must be >= 1, got {n}")
         if "initial_face" in params and params["initial_face"] not in ("B", "R"):
-            raise DomainError(f"'initial_face' must be 'B' or 'R', got {params['initial_face']!r}")
+            raise DomainError("'initial_face' must be 'B' or 'R',"
+                              f" got {shorten(repr(params['initial_face']))}")
         if "n_blue" in params:
             total = UrnState(params["n_blue"], params["n_red"]).total
             if total == 0:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the way their messages echo a value."""
+
+
+def shorten(text: str) -> str:
+    """``text`` cut to 24 characters, so a diagnostic never echoes a whole rejected value."""
+    return text if len(text) <= 24 else text[:21] + "..."
 
 
 class DomainError(ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coin_lab import TimeSeries
-from .errors import DomainError
+from .errors import DomainError, shorten
 from .randkit import RngStream, substream
 
 #: Minimum length for a sub-ensemble to count as "rich".
@@ -120,15 +120,18 @@ class Reduction:
     def __post_init__(self):
         if self.kind == "thin":
             if not 0.0 < self.param <= 1.0:
-                raise DomainError(f"thin keep-probability must be in (0, 1], got {self.param}")
+                raise DomainError("thin keep-probability must be in (0, 1],"
+                                  f" got {shorten(str(self.param))}")
         elif self.kind == "every_kth":
             if int(self.param) != self.param or self.param < 1:
-                raise DomainError(f"every_kth stride must be an integer >= 1, got {self.param}")
+                raise DomainError("every_kth stride must be an integer >= 1,"
+                                  f" got {shorten(str(self.param))}")
         elif self.kind == "prefix":
             if not 0.0 < self.param <= 1.0:
-                raise DomainError(f"prefix fraction must be in (0, 1], got {self.param}")
+                raise DomainError("prefix fraction must be in (0, 1],"
+                                  f" got {shorten(str(self.param))}")
         else:
-            raise DomainError(f"unknown reduction kind {self.kind!r}")
+            raise DomainError(f"unknown reduction kind {shorten(repr(self.kind))}")
 
     def __str__(self):
         if self.kind == "every_kth":

@@ -262,17 +262,5 @@ def _cap_from_uniforms(cap: CapSpec, u, v):
     return np.multiply.outer(x, e1) + np.multiply.outer(y, e2) + np.multiply.outer(c, axis)
 
 
-def sample_cap(cap: CapSpec, rng: RngStream, size):
-    """Draw ``size`` directions uniformly from a spherical cap, as an ``(size, 3)`` array.
-
-    Consumes exactly two uniforms of ``rng`` per direction; ``epsilon = 0``
-    returns the axis exactly.  The cosine between a sample and the axis is
-    uniform on ``[1 - epsilon, 1]``, so the mean sample vector is
-    ``(1 - epsilon / 2) * axis``.
-    """
-    uv = rng.random((int(size), 2))
-    return _cap_from_uniforms(cap, uv[:, 0], uv[:, 1])
-
-
 #: The whole sphere, an ``epsilon = 2`` cap.
 _FULL_SPHERE = CapSpec(Direction(0.0, 0.0, 1.0), 2.0)

@@ -1,6 +1,6 @@
 """Probability models for spin-polarization correlation experiments.
 
-Three models live here:
+Two models live here:
 
 * The contextual smeared-polarizer singlet model: each polarizer is a
   spherical cap of microscopic direction vectors around its macroscopic axis,
@@ -9,8 +9,6 @@ Three models live here:
 * The shared-hidden-direction sign model: one direction per pair generates
   outcomes for every setting via ``sign(x . lambda)``, the single-probability-
   space construction whose CHSH value can never exceed 2.
-* The factorized detection model ``p(A, B) = integral p1(lambda, A)
-  p2(lambda, B) d rho(lambda)``, equally bounded by 2.
 
 Correlators follow the convention ``r = -(1/N) sum s1_i s2_i``: the leading
 minus makes aligned settings (perfectly anti-correlated outcomes) give
@@ -31,11 +29,9 @@ from .randkit import (
     _FULL_SPHERE,
     CapSpec,
     Direction,
-    RngStream,
     _cap_coefficients,
     _cap_frame,
     _cap_from_uniforms,
-    sample_cap,
     stream_blocks,
     substream,
 )
@@ -214,83 +210,6 @@ def run_shared_lambda_model(a: Direction, a_prime: Direction, b: Direction, b_pr
         disagree += np.count_nonzero(positive[:, [0, 0, 1, 1]] != positive[:, [2, 3, 2, 3]], axis=0)
     correlators = {key: (n - 2 * int(k)) / n for key, k in zip(SETTING_PAIRS, disagree)}
     return SharedLambdaRun(n, settings), correlators
-
-
-@dataclass
-class LambdaModel:
-    """A factorized detection model: a prior over hidden states plus two maps.
-
-    ``prior`` is ``"uniform_sphere"`` or a discrete ``(points, weights)`` pair
-    (weights non-negative, summing to 1); ``p1`` and ``p2`` map a batch of
-    hidden states and a setting to detection probabilities in [0, 1].
-    """
-
-    prior: object
-    p1: object
-    p2: object
-
-    def sample(self, rng: RngStream, n: int) -> np.ndarray:
-        if isinstance(self.prior, str):
-            if self.prior != "uniform_sphere":
-                raise DomainError(f"unknown named prior {self.prior!r}")
-            return sample_cap(_FULL_SPHERE, rng, size=n)
-        points, weights = self.prior
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise DomainError("discrete prior weights must be non-negative and sum to 1")
-        idx = rng.generator.choice(len(points), size=n, p=weights)
-        return points[idx]
-
-
-def _detection_values(p, lam, setting) -> np.ndarray:
-    values = np.asarray(p(lam, setting), dtype=float)
-    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-        raise DomainError("detection probabilities must lie in [0, 1]")
-    return np.clip(values, 0.0, 1.0)
-
-
-def ch_factorized_probability(model: LambdaModel, a: Direction, b: Direction, *,
-                              n=200_000, master_seed=0, stream_id=0) -> float:
-    """Monte Carlo estimate of the factorized passage probability.
-
-    Averages ``p1(lambda, A) * p2(lambda, B)`` over the model's prior.  For
-    any model of this form the CHSH combination of the derived correlators
-    (see :func:`factorized_correlator`) obeys the 2 bound up to sampling
-    error.
-    """
-    rng = substream(master_seed, stream_id)
-    lam = model.sample(rng, int(n))
-    v1 = _detection_values(model.p1, lam, a)
-    v2 = _detection_values(model.p2, lam, b)
-    return float(np.mean(v1 * v2))
-
-
-def factorized_correlator(model: LambdaModel, a: Direction, b: Direction, *,
-                          n=200_000, master_seed=0, stream_id=0) -> float:
-    """Correlator ``-E[s1 s2]`` of the factorized model's +/-1 outcomes."""
-    rng = substream(master_seed, stream_id)
-    lam = model.sample(rng, int(n))
-    m1 = 2.0 * _detection_values(model.p1, lam, a) - 1.0
-    m2 = 2.0 * _detection_values(model.p2, lam, b) - 1.0
-    return float(-np.mean(m1 * m2))
-
-
-def independent_bound_check(m1, m1_prime, m2, m2_prime):
-    """CHSH-type combination for four independent +/-1 variables' means.
-
-    For independent variables every joint expectation factorizes, so the
-    combination ``|m1 m2 - m1 m2'| + |m1' m2 + m1' m2'|`` is bounded by
-    ``|m2 - m2'| + |m2 + m2'|`` and hence by 2.  Returns the pair
-    ``(lhs, bound_holds)``: the left-hand side and whether the 2 bound holds
-    (it always does for valid inputs; the flag is the explicit check).
-    """
-    values = (m1, m1_prime, m2, m2_prime)
-    for value in values:
-        if not -1.0 <= value <= 1.0:
-            raise DomainError(f"means must lie in [-1, 1], got {value}")
-    lhs = abs(m1 * m2 - m1 * m2_prime) + abs(m1_prime * m2 + m1_prime * m2_prime)
-    return lhs, lhs <= 2.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------

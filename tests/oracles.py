@@ -67,14 +67,6 @@ def pair_mean_dot(eps_a, eps_b, cos_ab, n_u=400, n_phi=400):
     return float(mean_a @ mean_b)
 
 
-def pair_mean_dot_bruteforce(eps_a, eps_b, cos_ab, n_u=60, n_phi=60):
-    """Same integral evaluated as a full double sum over both grids."""
-    sin_ab = math.sqrt(max(1.0 - cos_ab * cos_ab, 0.0))
-    grid_a = _cap_grid(np.array([0.0, 0.0, 1.0]), eps_a, n_u, n_phi)
-    grid_b = _cap_grid(np.array([sin_ab, 0.0, cos_ab]), eps_b, n_u, n_phi)
-    return float((grid_a @ grid_b.T).mean())
-
-
 def same_outcome_prob(eps_a, eps_b, cos_ab):
     """P(s1 = s2) for the singlet cap model: E[sin^2(theta_ab / 2)]."""
     return 0.5 * (1.0 - pair_mean_dot(eps_a, eps_b, cos_ab))
@@ -213,7 +205,7 @@ def materialized_shared_lambda(a, a_prime, b, b_prime, n, rng):
 
 
 # ---------------------------------------------------------------------------
-# uniform sphere grids for the single-probability-space models
+# a uniform sphere grid for the shared-hidden-direction model
 
 def _sphere_grid(n_c=2000, n_phi=2000):
     c = -1.0 + 2.0 * (np.arange(n_c) + 0.5) / n_c
@@ -231,22 +223,6 @@ def sign_model_correlator(theta, n_c=2000, n_phi=2000):
     sx = np.where(grid @ x > 0, 1.0, -1.0)
     sy = np.where(grid @ y > 0, 1.0, -1.0)
     return float(np.mean(sx * sy))
-
-
-def lune_prob(theta, n_c=2000, n_phi=2000):
-    """P(A . v > 0 and B . v < 0) over the uniform sphere."""
-    grid = _sphere_grid(n_c, n_phi)
-    a = np.array([0.0, 0.0, 1.0])
-    b = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    return float(np.mean((grid @ a > 0) & (grid @ b < 0)))
-
-
-def hemisphere_overlap_prob(theta, n_c=2000, n_phi=2000):
-    """P(A . v > 0 and B . v > 0) over the uniform sphere."""
-    grid = _sphere_grid(n_c, n_phi)
-    a = np.array([0.0, 0.0, 1.0])
-    b = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    return float(np.mean((grid @ a > 0) & (grid @ b > 0)))
 
 
 # ---------------------------------------------------------------------------

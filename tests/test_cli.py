@@ -47,6 +47,7 @@ def read_outputs(out_dir):
 
 
 STANDARD_AXES = {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135}
+PURITY_GENERATE = {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]}}
 
 
 class TestSpceCommand:
@@ -456,6 +457,10 @@ class TestQkdCommand:
                 "procedures": [{"kind": "halve"}]}, "unknown reduction kind 'halve'"),
     ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
                 "procedures": [{"kind": "prefix", "param": 1.5}]}, "prefix fraction must be in (0, 1]"),
+    ("coins", {"experiment": [], "n": 5}, "'experiment' must be one of"),
+    ("coins", {"experiment": {}, "n": 5}, "'experiment' must be one of"),
+    ("purity", {**PURITY_GENERATE, "alpha": None}, "'alpha' must be a number"),
+    ("purity", {**PURITY_GENERATE, "subensemble_fraction": None}, "'subensemble_fraction' must be a number"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)
@@ -513,6 +518,52 @@ def test_unusable_manifest_is_a_config_error(tmp_path, capsys, damage, message):
     assert not replayed.exists()
 
 
+@pytest.mark.parametrize("command", [[], {}], ids=["list", "object"])
+def test_manifest_command_must_be_a_command_name(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"axis": 10, "n": 10, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["qkd", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(json.dumps({**load_json(manifest), "command": command}))
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(manifest), "--out", str(replayed)]) == 3
+    assert "unknown command" in capsys.readouterr().err
+    assert not replayed.exists()
+
+
+#: A list nested 980 deep, as JSON text: it parses in a fresh process, and its repr is about
+#: 2 KB of brackets.  It replaces each ``"DEEP"`` of the configs below.
+DEEP_LIST = "[" * 980 + "]" * 980
+
+
+@pytest.mark.parametrize("command,cfg,field", [
+    ("purity", {**PURITY_GENERATE, "procedures": [{"kind": "thin", "param": "DEEP"}]}, "'param'"),
+    ("purity", {**PURITY_GENERATE, "procedures": [{"kind": "DEEP"}]}, "reduction kind"),
+    ("spce", {"axes": {"A": "DEEP", "B": 45}, "n": 10}, "axis 'A'"),
+    ("coins", {"experiment": "E1", "n": 5, "initial_face": "DEEP"}, "'initial_face'"),
+    ("bertrand", {"machines": ["M1", "DEEP"], "n": 10}, "'machines'"),
+    ("coins", {"experiment": "DEEP", "n": 5}, "'experiment'"),
+    ("coins", {"experiment": "E5", "n": 5, "urn": "DEEP"}, "'urn'"),
+    ("coins", {"experiment": "E4", "n": 5, "urn": [3, 3], "with_replacement": "DEEP"},
+     "'with_replacement'"),
+    ("purity", {"generate": {"experiments": [{"box": "DEEP", "urn": [5, 5], "n": 100}]}}, "'box'"),
+], ids=["param", "kind", "axis", "initial_face", "machines", "experiment", "urn", "with_replacement",
+        "box"])
+def test_diagnostic_shortens_a_rejected_value(tmp_path, command, cfg, field):
+    # in a process of its own: the test runner's stack leaves too little depth to parse 980 levels
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"DEEP"', DEEP_LIST))
+    out = tmp_path / "out"
+    src = Path(spcelab.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-m", "spcelab", command, "--config", str(cfg_path),
+                             "--out", str(out)],
+                            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 3, result.stderr
+    assert field in result.stderr.decode()
+    assert len(result.stderr) < 300, result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,text,message", [
     ("nan.json", '{"axes": {"A": NaN, "B": 45}, "n": 10}', "NaN is not valid JSON"),
     ("broken.json", '{"axes": {"A": 0, "B": 45}, "n": 10', "is not valid JSON"),
@@ -533,8 +584,6 @@ def test_unusable_config_file_is_a_config_error(tmp_path, capsys, name, text, me
     assert message in err and name in err
     assert not out.exists()
 
-
-PURITY_GENERATE = {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]}}
 
 #: A valid config of each command, and the path to each of its integer fields but the seed.
 INTEGER_FIELDS = [

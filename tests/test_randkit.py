@@ -10,7 +10,7 @@ from spcelab.randkit import (
     BLOCK_ROWS,
     CapSpec,
     Direction,
-    sample_cap,
+    _cap_from_uniforms,
     stream_blocks,
     stream_uniforms,
     substream,
@@ -167,7 +167,8 @@ class TestDirection:
 class TestSampleCap:
     def test_epsilon_zero_returns_axis_exactly(self):
         axis = Direction.from_plane_angle(33.0)
-        (d,) = sample_cap(CapSpec(axis, 0.0), substream(1, 0), size=1)
+        uv = substream(1, 0).random((1, 2))
+        (d,) = _cap_from_uniforms(CapSpec(axis, 0.0), uv[:, 0], uv[:, 1])
         assert tuple(d) == (axis.x, axis.y, axis.z)
 
     def test_epsilon_range_validated(self):
@@ -177,7 +178,8 @@ class TestSampleCap:
             CapSpec(Z, 2.5)
 
     def test_full_sphere_mean_dot(self):
-        pts = sample_cap(CapSpec(Z, 2.0), substream(7, 0), size=1_000_000)
+        uv = substream(7, 0).random((1_000_000, 2))
+        pts = _cap_from_uniforms(CapSpec(Z, 2.0), uv[:, 0], uv[:, 1])
         mean_dot = pts[:, 2].mean()
         # cos is uniform on [-1, 1]: sd = 1/sqrt(3)
         assert abs(mean_dot) < 3.0 / math.sqrt(3 * 1_000_000)
@@ -187,7 +189,8 @@ class TestSampleCap:
         eps = 0.1
         expected = oracles.cap_mean_cos(eps)
         assert expected == pytest.approx(0.95, abs=1e-12)
-        pts = sample_cap(CapSpec(Z, eps), substream(11, 0), size=1_000_000)
+        uv = substream(11, 0).random((1_000_000, 2))
+        pts = _cap_from_uniforms(CapSpec(Z, eps), uv[:, 0], uv[:, 1])
         sigma = (eps / math.sqrt(12.0)) / 1000.0  # sd of uniform cosine / sqrt(n)
         assert abs(pts[:, 2].mean() - expected) < 3.0 * sigma
 
@@ -197,7 +200,8 @@ class TestSampleCap:
         for _ in range(100):
             axis = Direction.normalized(*(gen.normal(size=3)))
             cap = CapSpec(axis, float(gen.uniform(0.0, 2.0)))
-            pts = sample_cap(cap, rng, size=1000)
+            uv = rng.random((1000, 2))
+            pts = _cap_from_uniforms(cap, uv[:, 0], uv[:, 1])
             slack = np.abs(1.0 - pts @ axis.as_array())
             assert np.all(slack <= cap.epsilon + 1e-12)
             norms = np.linalg.norm(pts, axis=1)

@@ -16,13 +16,9 @@ from spcelab import randkit, spce
 from spcelab.randkit import BLOCK_ROWS, CapSpec, Direction, _cap_from_uniforms, substream
 from spcelab.spce import (
     ExperimentRun,
-    LambdaModel,
-    ch_factorized_probability,
     chsh,
     correlator_stderr,
     empirical_correlator,
-    factorized_correlator,
-    independent_bound_check,
     record_directions,
     run_experiment,
     run_shared_lambda_model,
@@ -361,106 +357,6 @@ class TestSharedLambdaModel:
         one_draw = oracles.ScriptedStream(values)
         assert corr == oracles.materialized_shared_lambda(*settings, n, one_draw)
         assert blocked.position == one_draw.position > 2 * n + 2 * 5
-
-
-def sign_detection(sign):
-    def detect(lam, setting):
-        return (sign * (lam @ setting.as_array()) > 0).astype(float)
-    return detect
-
-
-class TestFactorizedModel:
-    def test_constant_detections(self):
-        ones = LambdaModel("uniform_sphere", lambda lam, s: np.ones(len(lam)),
-                           lambda lam, s: np.ones(len(lam)))
-        assert ch_factorized_probability(ones, Z, Z, n=1000) == 1.0
-        halves = LambdaModel("uniform_sphere", lambda lam, s: np.full(len(lam), 0.5),
-                             lambda lam, s: np.full(len(lam), 0.5))
-        assert ch_factorized_probability(halves, Z, Z, n=1000) == 0.25
-
-    @pytest.mark.parametrize("theta_deg", [0.0, 90.0, 180.0])
-    def test_opposite_hemisphere_detection(self, theta_deg):
-        # p2 fires on the opposite hemisphere: p(A, B) = theta / (2 pi)
-        theta = math.radians(theta_deg)
-        model = LambdaModel("uniform_sphere", sign_detection(+1), sign_detection(-1))
-        expected = theta / (2.0 * math.pi)
-        assert abs(oracles.lune_prob(theta, 1200, 1200) - expected) < 3e-3
-        estimate = ch_factorized_probability(model, Z, Direction.from_plane_angle(theta_deg),
-                                             n=400_000, master_seed=31)
-        assert abs(estimate - expected) < 4 * oracles.binomial_sigma(max(expected, 1e-3), 400_000)
-
-    @pytest.mark.parametrize("theta_deg", [0.0, 90.0, 180.0])
-    def test_same_hemisphere_detection(self, theta_deg):
-        # p2 fires on its own hemisphere: p(A, B) = (pi - theta) / (2 pi)
-        theta = math.radians(theta_deg)
-        model = LambdaModel("uniform_sphere", sign_detection(+1), sign_detection(+1))
-        expected = (math.pi - theta) / (2.0 * math.pi)
-        assert abs(oracles.hemisphere_overlap_prob(theta, 1200, 1200) - expected) < 3e-3
-        estimate = ch_factorized_probability(model, Z, Direction.from_plane_angle(theta_deg),
-                                             n=400_000, master_seed=32)
-        assert abs(estimate - expected) < 4 * oracles.binomial_sigma(max(expected, 1e-3), 400_000)
-
-    def test_factorized_chsh_bounded_by_two(self):
-        model = LambdaModel("uniform_sphere", sign_detection(+1), sign_detection(-1))
-        n = 100_000
-        a, a_p, b, b_p = (Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
-        correlators = [
-            factorized_correlator(model, x, y, n=n, master_seed=40, stream_id=i)
-            for i, (x, y) in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)])
-        ]
-        assert chsh(*correlators) <= 2.0 + 4.0 * 4.0 / math.sqrt(n)
-
-    def test_discrete_prior_normalization(self):
-        points = np.eye(3)
-        bad = LambdaModel((points, np.array([0.5, 0.5, 0.5])),
-                          lambda lam, s: np.ones(len(lam)), lambda lam, s: np.ones(len(lam)))
-        with pytest.raises(DomainError):
-            ch_factorized_probability(bad, Z, Z, n=100)
-
-    def test_discrete_prior_sampling(self):
-        points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        model = LambdaModel(
-            (points, np.array([0.75, 0.25])),
-            lambda lam, s: (lam @ s.as_array() > 0).astype(float),
-            lambda lam, s: np.ones(len(lam)),
-        )
-        estimate = ch_factorized_probability(model, Z, Z, n=200_000, master_seed=9)
-        assert abs(estimate - 0.75) < 4 * oracles.binomial_sigma(0.75, 200_000)
-
-    def test_unknown_named_prior_rejected(self):
-        model = LambdaModel("uniform_disk", lambda lam, s: np.ones(len(lam)),
-                            lambda lam, s: np.ones(len(lam)))
-        with pytest.raises(DomainError, match="unknown named prior 'uniform_disk'"):
-            ch_factorized_probability(model, Z, Z, n=100)
-
-    def test_detection_range_validated(self):
-        model = LambdaModel("uniform_sphere", lambda lam, s: np.full(len(lam), 1.5),
-                            lambda lam, s: np.ones(len(lam)))
-        with pytest.raises(DomainError):
-            ch_factorized_probability(model, Z, Z, n=100)
-
-
-class TestIndependentBound:
-    def test_extremal_case(self):
-        lhs, bound_holds = independent_bound_check(1.0, 1.0, 1.0, -1.0)
-        assert lhs == 2.0
-        assert bound_holds
-
-    def test_degenerate_case(self):
-        assert independent_bound_check(0.0, 0.0, 0.7, -0.3)[0] == 0.0
-
-    def test_random_sweep_always_holds(self):
-        gen = np.random.Generator(np.random.Philox(key=123))
-        quads = gen.uniform(-1.0, 1.0, size=(100_000, 4))
-        for m1, m1p, m2, m2p in quads:
-            lhs, bound_holds = independent_bound_check(m1, m1p, m2, m2p)
-            middle = abs(m2 - m2p) + abs(m2 + m2p)
-            assert lhs <= middle + 1e-12 <= 2.0 + 2e-12
-            assert bound_holds
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            independent_bound_check(1.1, 0.0, 0.0, 0.0)
 
 
 class TestRunSerialization:
