@@ -99,9 +99,8 @@ def _require(condition, message):
 
 def _check_fields(obj, where, *allowed):
     """Reject every key of the config object ``obj`` that is not in ``allowed``, naming it."""
-    unknown = sorted(set(obj) - set(allowed))
-    _require(not unknown, f"unknown field(s) {', '.join(map(repr, unknown))} in {where}"
-                          f" (allowed: {', '.join(allowed)})")
+    unknown = ", ".join(shorten(repr(k)) for k in sorted(set(obj) - set(allowed)))
+    _require(not unknown, f"unknown field(s) {unknown} in {where} (allowed: {', '.join(allowed)})")
 
 
 def _is_int(value):
@@ -237,17 +236,10 @@ def cmd_spce(cfg, seed, stage: Path, fmt):
     pairs = [(x, y) for x, y in [("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'")]
              if x in axes and y in axes]
 
-    runs = []
-    rows = []
-    correlators = {}
-    for stream_id, (x, y) in enumerate(pairs):
-        run = spce.run_experiment(CapSpec(axes[x], epsilons[x]), CapSpec(axes[y], epsilons[y]),
-                                  n, seed, stream_id)
-        r = spce.empirical_correlator(run)
-        correlators[x + y] = r
-        rows.append([x + y, r, spce.correlator_stderr(r, n), n])
-        runs.append(run)
-
+    runs = [(CapSpec(axes[x], epsilons[x]), CapSpec(axes[y], epsilons[y]), n, seed, stream_id)
+            for stream_id, (x, y) in enumerate(pairs)]
+    correlators = {x + y: spce.correlator(*run) for (x, y), run in zip(pairs, runs)}
+    rows = [[key, r, spce.correlator_stderr(r, n), n] for key, r in correlators.items()]
     spce.write_run_jsonl(runs, stage / "runs.jsonl", record_limit=record_limit)
     table = _table_file(stage, "correlators", ["setting_pair", "r", "stderr", "n"], rows, fmt)
 

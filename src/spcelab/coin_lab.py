@@ -301,10 +301,11 @@ def read_timeseries_jsonl(path):
                 if "outcome" not in record or "index" not in record:
                     raise FormatError("trial record missing 'index' or 'outcome'", lineno)
                 if type(record["outcome"]) is not int or record["outcome"] not in (1, -1):
-                    raise FormatError(f"outcome must be +1 or -1, got {record['outcome']}", lineno)
+                    raise FormatError(f"outcome must be +1 or -1, got {shorten(repr(record['outcome']))}",
+                                      lineno)
                 if type(record["index"]) is not int or record["index"] != len(values):
                     raise FormatError(
-                        f"expected index {len(values)}, got {record['index']}", lineno
+                        f"expected index {len(values)}, got {shorten(repr(record['index']))}", lineno
                     )
                 values.append(record["outcome"])
             finish(lineno + 1)

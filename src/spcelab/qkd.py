@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .randkit import CapSpec, Direction
-from .spce import chsh, empirical_correlator, run_experiment, run_shared_lambda_model
+from .spce import chsh, correlator, outcome_blocks, shared_lambda_correlators
 
 
 @dataclass
@@ -51,9 +51,15 @@ def generate_keys(axis: Direction, n: int, eps_a: float, eps_b: float, master_se
     anti-correlated outcomes give identical keys.  Bit-reproducible from the
     seed.
     """
-    run = run_experiment(CapSpec(axis, eps_a), CapSpec(axis, eps_b), n, master_seed, stream_id)
-    alice = run.s1 > 0
-    bob = run.s2 < 0
+    alice = np.empty(int(n), dtype=np.uint8)
+    bob = np.empty(int(n), dtype=np.uint8)
+    start = 0
+    for u, minus, same in outcome_blocks(CapSpec(axis, eps_a), CapSpec(axis, eps_b), n, master_seed,
+                                         stream_id):
+        stop = start + len(u)
+        alice[start:stop] = ~minus
+        bob[start:stop] = minus == same
+        start = stop
     meta = {
         "axis": list(axis.as_array()),
         "eps_a": eps_a,
@@ -85,13 +91,8 @@ def ekert_test_statistic(a: Direction, a_prime: Direction, b: Direction, b_prime
     exceeds 2.
     """
     if adversary:
-        _, corr = run_shared_lambda_model(a, a_prime, b, b_prime, n_test, master_seed,
-                                          stream_id=stream_base)
-        return chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
+        return chsh(*shared_lambda_correlators(a, a_prime, b, b_prime, n_test, master_seed,
+                                               stream_id=stream_base).values())
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    correlators = []
-    for offset, (x, y) in enumerate(pairs):
-        run = run_experiment(CapSpec(x, eps_a), CapSpec(y, eps_b), n_test, master_seed,
-                             stream_base + offset)
-        correlators.append(empirical_correlator(run))
-    return chsh(*correlators)
+    return chsh(*(correlator(CapSpec(x, eps_a), CapSpec(y, eps_b), n_test, master_seed, stream_base + k)
+                  for k, (x, y) in enumerate(pairs)))

@@ -174,7 +174,7 @@ class ScriptedStream:
 
 # ---------------------------------------------------------------------------
 # the shared-hidden-direction model with its directions built in full: the
-# one-draw twin of spce.run_shared_lambda_model
+# one-draw twin of spce.shared_lambda_correlators
 
 SPHERE = CapSpec(Direction(0.0, 0.0, 1.0), 2.0)
 

@@ -18,13 +18,7 @@ from spcelab.coin_lab import OutcomeLaw, sample_runs
 from spcelab.purity import Reduction, Sample, Verdict, _member_counts, _runs_report, purity_verdict
 from spcelab.qkd import generate_keys, mismatch_rate
 from spcelab.randkit import CapSpec, Direction, substream
-from spcelab.spce import (
-    chsh,
-    correlator_stderr,
-    empirical_correlator,
-    run_experiment,
-    run_shared_lambda_model,
-)
+from spcelab.spce import chsh, correlator, correlator_stderr, outcome_blocks, shared_lambda_correlators
 
 STANDARD = tuple(Direction.from_plane_angle(d) for d in (0.0, 90.0, 45.0, 135.0))
 
@@ -52,10 +46,7 @@ def test_criterion_2_contextual_chsh_violation():
     n = 1_000_000
     a, a_p, b, b_p = STANDARD
     correlators = [
-        empirical_correlator(run_experiment(
-            CapSpec(x, 0.0), CapSpec(y, 0.0), n,
-            master_seed=2, stream_id=i,
-        ))
+        correlator(CapSpec(x, 0.0), CapSpec(y, 0.0), n, master_seed=2, stream_id=i)
         for i, (x, y) in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)])
     ]
     s = chsh(*correlators)
@@ -73,7 +64,7 @@ def test_criterion_3_shared_lambda_bound():
     worst = 0.0
     ok = True
     for seed in range(20):
-        _, corr = run_shared_lambda_model(a, a_p, b, b_p, n, master_seed=seed)
+        corr = shared_lambda_correlators(a, a_p, b, b_p, n, master_seed=seed)
         s = chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
         worst = max(worst, s)
         ok &= s <= 2.0 + 4.0 / math.sqrt(n)
@@ -87,10 +78,14 @@ def test_criterion_3_shared_lambda_bound():
 def test_criterion_4_anticorrelation_failure():
     n = 1_000_000
     axis = Direction.from_plane_angle(0.0)
-    sharp = run_experiment(CapSpec(axis, 0.0), CapSpec(axis, 0.0), n, master_seed=4)
-    sharp_rate = float(np.mean(sharp.s1 == sharp.s2))
-    smeared = run_experiment(CapSpec(axis, 0.1), CapSpec(axis, 0.1), n, master_seed=4, stream_id=1)
-    rate = float(np.mean(smeared.s1 == smeared.s2))
+
+    def same_rate(eps, stream_id):
+        cap = CapSpec(axis, eps)
+        blocks = outcome_blocks(cap, cap, n, master_seed=4, stream_id=stream_id)
+        return sum(int(np.count_nonzero(same)) for _, _, same in blocks) / n
+
+    sharp_rate = same_rate(0.0, 0)
+    rate = same_rate(0.1, 1)
     expected = oracles.same_outcome_prob(0.1, 0.1, 1.0)
     sigma = oracles.binomial_sigma(expected, n)
     ok = sharp_rate == 0.0 and abs(rate - expected) < 3 * sigma

@@ -564,6 +564,32 @@ def test_diagnostic_shortens_a_rejected_value(tmp_path, command, cfg, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("record", ['{"index": 0, "outcome": DEEP}', '{"index": DEEP, "outcome": 1}'],
+                         ids=["outcome", "index"])
+def test_input_diagnostic_shortens_a_record_value(tmp_path, record):
+    (tmp_path / "deep.jsonl").write_text('{"kind": "header", "n": 1}\n' + record.replace("DEEP", DEEP_LIST))
+    cfg_path = write_config(tmp_path, {"inputs": ["deep.jsonl"], "seed": 0})
+    out = tmp_path / "out"
+    src = Path(spcelab.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-m", "spcelab", "purity", "--config", str(cfg_path),
+                             "--out", str(out)],
+                            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 4, result.stderr
+    assert b"deep.jsonl: line 2" in result.stderr
+    assert len(result.stderr) < 300, result.stderr
+    assert not out.exists()
+
+
+def test_unknown_field_name_is_shortened(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"machines": ["M1"], "n": 10, "x" * 3000: 1})
+    out = tmp_path / "out"
+    assert main(["bertrand", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "unknown field(s) 'xxxxxxxxxxxxxxxxxxxx..." in err
+    assert len(err.encode()) < 300, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,text,message", [
     ("nan.json", '{"axes": {"A": NaN, "B": 45}, "n": 10}', "NaN is not valid JSON"),
     ("broken.json", '{"axes": {"A": 0, "B": 45}, "n": 10', "is not valid JSON"),
@@ -657,11 +683,11 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command,cfg", [
-        ("spce", {"axes": {"A": 0, "B": 45}, "n": 2**62, "seed": 1}),
+        ("coins", {"experiment": "E1", "n": 10, "runs": 2**58, "seed": 1}),
         ("qkd", {"axis": 0, "n": 2**62, "seed": 1}),
     ])
     def test_allocation_failure_exits_five(self, tmp_path, capsys, command, cfg):
-        # 2^62 outcomes ask for 4 EiB at the first allocation, which no machine grants
+        # 2^58 stream ids and 2^62 key bits each ask for EiBs at the first allocation
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         out.mkdir()

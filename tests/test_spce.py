@@ -15,14 +15,12 @@ from spcelab.errors import DomainError
 from spcelab import randkit, spce
 from spcelab.randkit import BLOCK_ROWS, CapSpec, Direction, _cap_from_uniforms, substream
 from spcelab.spce import (
-    ExperimentRun,
     chsh,
+    correlator,
     correlator_stderr,
-    empirical_correlator,
-    record_directions,
-    run_experiment,
-    run_shared_lambda_model,
+    outcome_blocks,
     run_to_jsonl_lines,
+    shared_lambda_correlators,
 )
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -33,10 +31,18 @@ def pol(degrees, eps=0.0):
     return CapSpec(Direction.from_plane_angle(degrees), eps)
 
 
-def directions(run, count=None):
-    """The rebuilt microscopic directions of a run's first ``count`` pairs, as two arrays."""
-    blocks = list(record_directions(run, count))
-    return np.concatenate([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
+def flag_counts(pol_a, pol_b, n, master_seed, stream_id=0):
+    """The numbers of ``s1 = -1`` and of ``s2 = s1`` pairs in a walk."""
+    blocks = [(np.count_nonzero(minus), np.count_nonzero(same))
+              for _, minus, same in outcome_blocks(pol_a, pol_b, n, master_seed, stream_id)]
+    return tuple(int(k) for k in np.sum(blocks, axis=0))
+
+
+def records(pol_a, pol_b, n, master_seed, stream_id=0, record_limit=None):
+    """The header and the pair records of a run's JSONL lines."""
+    header, *rest = map(json.loads, run_to_jsonl_lines(pol_a, pol_b, n, master_seed, stream_id,
+                                                       record_limit=record_limit))
+    return header, rest
 
 
 def random_rotation(gen):
@@ -81,66 +87,65 @@ class TestSingletJointProbs:
 class TestSamplePair:
     def test_zero_smear_aligned_forces_anticorrelation(self):
         p = pol(25.0, 0.0)
-        run = run_experiment(p, p, 300, master_seed=10)
-        np.testing.assert_array_equal(run.s2, -run.s1)
+        assert flag_counts(p, p, 300, master_seed=10)[1] == 0
 
     def test_marginal_is_uniform(self):
-        run = run_experiment(pol(0.0), pol(77.0), 100_000, master_seed=3)
-        frac = np.mean(run.s1 == 1)
-        assert abs(frac - 0.5) < 3 * oracles.binomial_sigma(0.5, len(run))
+        n = 100_000
+        n_minus, _ = flag_counts(pol(0.0), pol(77.0), n, master_seed=3)
+        assert abs(1.0 - n_minus / n - 0.5) < 3 * oracles.binomial_sigma(0.5, n)
 
     def test_same_outcome_rate_matches_quadrature(self):
         expected = oracles.same_outcome_prob(0.1, 0.1, 1.0)
         assert expected == pytest.approx(0.04875, abs=1e-9)
         p = pol(0.0, 0.1)
-        run = run_experiment(p, p, 1_000_000, master_seed=12)
-        rate = float(np.mean(run.s1 == run.s2))
-        assert abs(rate - expected) < 3 * oracles.binomial_sigma(expected, len(run))
+        n = 1_000_000
+        rate = flag_counts(p, p, n, master_seed=12)[1] / n
+        assert abs(rate - expected) < 3 * oracles.binomial_sigma(expected, n)
 
     def test_samples_live_in_their_caps(self):
         cap_a = CapSpec(Direction.from_plane_angle(20.0), 0.3)
         cap_b = CapSpec(Direction.from_plane_angle(65.0), 0.7)
-        a, b = directions(run_experiment(cap_a, cap_b, 200, master_seed=4))
-        for a_i, b_i in zip(a, b):
-            assert oracles.cap_contains(cap_a, a_i)
-            assert oracles.cap_contains(cap_b, b_i)
+        for record in records(cap_a, cap_b, 200, master_seed=4)[1]:
+            assert oracles.cap_contains(cap_a, np.array(record["a"]))
+            assert oracles.cap_contains(cap_b, np.array(record["b"]))
 
 
 class TestRunExperiment:
     def test_single_pair(self):
-        assert len(run_experiment(pol(0.0), pol(10.0), 1, master_seed=0)) == 1
+        (block,) = outcome_blocks(pol(0.0), pol(10.0), 1, master_seed=0)
+        assert [len(part) for part in block] == [1, 1, 1]
+        assert correlator(pol(0.0), pol(10.0), 1, master_seed=0) in (1.0, -1.0)
 
     def test_deterministic(self):
-        a = run_experiment(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2)
-        b = run_experiment(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2)
-        np.testing.assert_array_equal(a.s1, b.s1)
-        np.testing.assert_array_equal(directions(a)[0], directions(b)[0])
+        a = list(outcome_blocks(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2))
+        b = list(outcome_blocks(pol(0.0, 0.2), pol(45.0, 0.1), 500, master_seed=6, stream_id=2))
+        for block_a, block_b in zip(a, b, strict=True):
+            for part_a, part_b in zip(block_a, block_b):
+                np.testing.assert_array_equal(part_a, part_b)
 
     def test_matches_sequential_sample_pair(self):
         p_a, p_b = pol(0.0, 0.4), pol(30.0, 0.2)
-        run = run_experiment(p_a, p_b, 5, master_seed=8, stream_id=3)
-        run_a, _ = directions(run)
+        _, rows = records(p_a, p_b, 5, master_seed=8, stream_id=3)
         rng = substream(8, 3)
-        for i in range(5):
+        for row in rows:
             record = oracles.sample_pair(p_a, p_b, rng)
-            assert (record.s1, record.s2) == (int(run.s1[i]), int(run.s2[i]))
-            np.testing.assert_allclose(record.a, run_a[i], atol=0)
+            assert (record.s1, record.s2) == (row["s1"], row["s2"])
+            np.testing.assert_allclose(record.a, row["a"], atol=0)
 
     def test_two_seeds_agree_on_the_correlator(self):
         expected = math.cos(math.radians(60.0))
+        n = 200_000
         for seed in (101, 202):
-            run = run_experiment(pol(0.0), pol(60.0), 200_000, master_seed=seed)
-            r = empirical_correlator(run)
-            assert abs(r - expected) < 4 * correlator_stderr(expected, len(run))
+            r = correlator(pol(0.0), pol(60.0), n, master_seed=seed)
+            assert abs(r - expected) < 4 * correlator_stderr(expected, n)
 
     def test_zero_pairs_rejected(self):
-        with pytest.raises(DomainError):
-            run_experiment(pol(0.0), pol(0.0), 0, master_seed=0)
+        with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
+            correlator(pol(0.0), pol(0.0), 0, master_seed=0)
 
     def test_empty_run_rejected(self):
-        empty = np.zeros(0, dtype=np.int8)
-        with pytest.raises(DomainError, match="at least one pair"):
-            ExperimentRun(pol(0.0), pol(0.0), empty, empty, master_seed=0, stream_id=0)
+        with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
+            next(outcome_blocks(pol(0.0), pol(0.0), 0, master_seed=0))
 
 
 #: Pair counts around the kernel's block boundaries.
@@ -156,105 +161,113 @@ KERNEL_POLARIZERS = (
 )
 
 
+def _spce_peak_mb(tmp_path, n):
+    """Peak resident set (MB) of a fresh process that runs the four-setting ``spce`` command."""
+    cfg = tmp_path / f"spce-{n}.json"
+    cfg.write_text(json.dumps({"axes": {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135},
+                               "epsilon": 0.1, "n": n, "seed": 1, "record_limit": 1000}))
+    script = (
+        "from spcelab.cli import main\n"
+        f"code = main(['spce', '--config', {str(cfg)!r}, '--out', {str(tmp_path / f'out-{n}')!r}])\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
+        "print(code, int(status) / 1024)\n"
+    )
+    src = Path(spcelab.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    code, peak_mb = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return float(peak_mb)
+
+
 class TestPairKernel:
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_outcomes_match_materialized_directions(self, n):
         for k, (p_a, p_b) in enumerate(KERNEL_POLARIZERS):
-            run = run_experiment(p_a, p_b, n, master_seed=2**64 - 1 - k, stream_id=k)
+            blocks = list(outcome_blocks(p_a, p_b, n, master_seed=2**64 - 1 - k, stream_id=k))
+            minus = np.concatenate([m for _, m, _ in blocks])
+            same = np.concatenate([s for _, _, s in blocks])
             _, _, s1, s2 = oracles.materialized_run(p_a, p_b, n, 2**64 - 1 - k, k)
-            assert run.s1.dtype == run.s2.dtype == np.int8
-            np.testing.assert_array_equal(run.s1, s1)
-            np.testing.assert_array_equal(run.s2, s2)
+            np.testing.assert_array_equal(minus, s1 == -1)
+            np.testing.assert_array_equal(same, s1 == s2)
 
     def test_record_directions_are_the_streams_cap_points(self):
         p_a, p_b = KERNEL_POLARIZERS[3]
-        n = 2 * BLOCK_ROWS + 3
-        run = run_experiment(p_a, p_b, n, master_seed=31, stream_id=5)
+        n = BLOCK_ROWS + 3
         u = substream(31, 5).random((n, 5))
-        for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, n, n + 10):
-            blocks = list(record_directions(run, count))
-            assert all(len(a) <= BLOCK_ROWS for a, _ in blocks)
-            if min(count, n) == 0:
-                assert blocks == []
+        for count in (0, 1, 2, n + 10):
+            header, rows = records(p_a, p_b, n, master_seed=31, stream_id=5, record_limit=count)
+            assert header["N"] == n
+            assert header["records_serialized"] == len(rows) == min(count, n)
+            if not rows:
                 continue
-            a, b = directions(run, count)
-            rows = min(count, n)
-            np.testing.assert_allclose(a, _cap_from_uniforms(p_a, u[:rows, 0], u[:rows, 1]), atol=0)
-            np.testing.assert_allclose(b, _cap_from_uniforms(p_b, u[:rows, 2], u[:rows, 3]), atol=0)
+            np.testing.assert_allclose([r["a"] for r in rows],
+                                       _cap_from_uniforms(p_a, u[:len(rows), 0], u[:len(rows), 1]), atol=0)
+            np.testing.assert_allclose([r["b"] for r in rows],
+                                       _cap_from_uniforms(p_b, u[:len(rows), 2], u[:len(rows), 3]), atol=0)
 
     def test_serialized_records_carry_the_rebuilt_directions(self):
         p_a, p_b = KERNEL_POLARIZERS[2]
         n = BLOCK_ROWS + 2
-        run = run_experiment(p_a, p_b, n, master_seed=3, stream_id=1)
         a, b, s1, s2 = oracles.materialized_run(p_a, p_b, n, 3, 1)
-        lines = list(run_to_jsonl_lines(run, record_limit=n - 1))
-        assert json.loads(lines[0])["records_serialized"] == n - 1
-        records = [json.loads(line) for line in lines[1:]]
-        assert len(records) == n - 1
-        np.testing.assert_allclose([r["a"] for r in records], a[:n - 1], atol=0)
-        np.testing.assert_allclose([r["b"] for r in records], b[:n - 1], atol=0)
-        assert [r["s1"] for r in records] == s1[:n - 1].tolist()
-        assert [r["s2"] for r in records] == s2[:n - 1].tolist()
+        header, rows = records(p_a, p_b, n, master_seed=3, stream_id=1, record_limit=n - 1)
+        assert header["records_serialized"] == n - 1
+        assert len(rows) == n - 1
+        np.testing.assert_allclose([r["a"] for r in rows], a[:n - 1], atol=0)
+        np.testing.assert_allclose([r["b"] for r in rows], b[:n - 1], atol=0)
+        assert [r["s1"] for r in rows] == s1[:n - 1].tolist()
+        assert [r["s2"] for r in rows] == s2[:n - 1].tolist()
 
     def test_spce_memory_does_not_grow_with_n(self, tmp_path):
-        # 2e6 pairs per setting pair: materialized directions would take several hundred MB
+        # ten times the pairs per setting pair: anything kept per pair would show as tens of MB
         if not Path("/proc/self/status").exists():
             pytest.skip("needs /proc/self/status for the peak resident set")
-        cfg = tmp_path / "spce.json"
-        cfg.write_text(json.dumps({"axes": {"A": 0, "A_prime": 90, "B": 45, "B_prime": 135},
-                                   "epsilon": 0.1, "n": 2_000_000, "seed": 1, "record_limit": 1000}))
-        script = (
-            "from spcelab.cli import main\n"
-            f"code = main(['spce', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "status = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
-            "print(code, int(status) // 1024)\n"
-        )
-        src = Path(spcelab.__file__).resolve().parents[1]
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": str(src)})
-        assert result.returncode == 0, result.stderr
-        code, peak_mb = map(int, result.stdout.splitlines()[-1].split())
-        assert code == 0
-        assert peak_mb < 120
+        small, large = _spce_peak_mb(tmp_path, 200_000), _spce_peak_mb(tmp_path, 2_000_000)
+        assert large - small < 5.0, f"peak {small:.1f} MB at n = 2e5, {large:.1f} MB at n = 2e6"
 
 
 class TestEmpiricalCorrelator:
     def test_anticorrelated_run_gives_plus_one(self):
-        s1 = np.array([1, -1, 1, 1], dtype=np.int8)
-        run = ExperimentRun(pol(0.0), pol(0.0), s1, -s1, master_seed=0, stream_id=0)
-        assert empirical_correlator(run) == 1.0
+        # aligned zero-smear caps: s2 = -s1 for every pair, so every product is -1
+        assert correlator(pol(30.0), pol(30.0), 1000, master_seed=0) == 1.0
 
     def test_orthogonal_settings_vanish(self):
-        run = run_experiment(pol(0.0), pol(90.0), 1_000_000, master_seed=14)
-        assert abs(empirical_correlator(run)) < 3e-3
+        assert abs(correlator(pol(0.0), pol(90.0), 1_000_000, master_seed=14)) < 3e-3
 
     def test_smeared_aligned_settings(self):
         expected = oracles.contextual_correlator(0.2, 0.2, 1.0)
         assert expected == pytest.approx(0.81, abs=1e-9)
-        run = run_experiment(pol(0.0, 0.2), pol(0.0, 0.2), 1_000_000, master_seed=15)
-        r = empirical_correlator(run)
-        assert abs(r - expected) < 3 * correlator_stderr(expected, len(run))
+        n = 1_000_000
+        r = correlator(pol(0.0, 0.2), pol(0.0, 0.2), n, master_seed=15)
+        assert abs(r - expected) < 3 * correlator_stderr(expected, n)
 
     @pytest.mark.parametrize("eps_a,eps_b", list(itertools.product([0.0, 0.1, 0.3], repeat=2)))
     def test_correlator_law_over_the_grid(self, eps_a, eps_b):
         n = 100_000
         for theta_deg in (0.0, 30.0, 60.0, 90.0, 120.0, 180.0):
             expected = oracles.contextual_correlator(eps_a, eps_b, math.cos(math.radians(theta_deg)))
-            run = run_experiment(
+            r = correlator(
                 pol(0.0, eps_a), pol(theta_deg, eps_b), n,
                 master_seed=1000 + int(theta_deg), stream_id=int(10 * eps_a + 100 * eps_b),
             )
-            assert abs(empirical_correlator(run) - expected) < 4.0 / math.sqrt(n)
+            assert abs(r - expected) < 4.0 / math.sqrt(n)
 
     def test_no_signaling_marginal(self):
         # Alice's outcome distribution must not depend on Bob's polarizer
         n = 200_000
-        base = run_experiment(pol(10.0, 0.1), pol(0.0, 0.0), n, master_seed=71)
-        moved = run_experiment(pol(10.0, 0.1), pol(120.0, 0.5), n, master_seed=72)
-        z = oracles.two_proportion_z(
-            int(np.sum(base.s1 == 1)), n, int(np.sum(moved.s1 == 1)), n
-        )
+        base, _ = flag_counts(pol(10.0, 0.1), pol(0.0, 0.0), n, master_seed=71)
+        moved, _ = flag_counts(pol(10.0, 0.1), pol(120.0, 0.5), n, master_seed=72)
+        z = oracles.two_proportion_z(n - base, n, n - moved, n)
         assert abs(z) < 4.0
+
+    def test_correlator_is_the_mean_of_the_materialized_products(self):
+        # an exact integer sum: bit for bit the float64 mean, a zero sum included (-0.0)
+        for n, (p_a, p_b) in ((BLOCK_ROWS + 1, KERNEL_POLARIZERS[2]), (2, (pol(0.0), pol(90.0)))):
+            _, _, s1, s2 = oracles.materialized_run(p_a, p_b, n, 0)
+            want = float(-np.mean(s1.astype(np.float64) * s2))
+            got = correlator(p_a, p_b, n, master_seed=0)
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestChsh:
@@ -270,7 +283,7 @@ class TestChsh:
         n = 200_000
         a, a_p, b, b_p = STANDARD_ANGLES
         correlators = [
-            empirical_correlator(run_experiment(pol(x), pol(y), n, master_seed=55, stream_id=i))
+            correlator(pol(x), pol(y), n, master_seed=55, stream_id=i)
             for i, (x, y) in enumerate([(a, b), (a, b_p), (a_p, b), (a_p, b_p)])
         ]
         s = chsh(*correlators)
@@ -282,11 +295,11 @@ class TestChsh:
 class TestSharedLambdaModel:
     def test_identical_settings_are_perfectly_correlated(self):
         a = Direction.from_plane_angle(15.0)
-        _, corr = run_shared_lambda_model(a, a, a, a, 2000, master_seed=1)
+        corr = shared_lambda_correlators(a, a, a, a, 2000, master_seed=1)
         assert corr["AB"] == 1.0
 
     def test_orthogonal_settings_vanish(self):
-        _, corr = run_shared_lambda_model(
+        corr = shared_lambda_correlators(
             Direction.from_plane_angle(0.0), Direction.from_plane_angle(0.0),
             Direction.from_plane_angle(90.0), Direction.from_plane_angle(90.0),
             1_000_000, master_seed=2,
@@ -298,7 +311,7 @@ class TestSharedLambdaModel:
         theta = math.radians(theta_deg)
         law = 1.0 - 2.0 * theta / math.pi
         assert abs(oracles.sign_model_correlator(theta, 1200, 1200) - law) < 5e-3
-        _, corr = run_shared_lambda_model(
+        corr = shared_lambda_correlators(
             Direction.from_plane_angle(0.0), Direction.from_plane_angle(0.0),
             Direction.from_plane_angle(theta_deg), Direction.from_plane_angle(theta_deg),
             200_000, master_seed=int(theta_deg) + 3,
@@ -312,25 +325,23 @@ class TestSharedLambdaModel:
     def test_chsh_never_exceeds_two(self):
         a, a_p, b, b_p = (Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
         for seed in range(30):
-            _, corr = run_shared_lambda_model(a, a_p, b, b_p, 20_000, master_seed=seed)
+            corr = shared_lambda_correlators(a, a_p, b, b_p, 20_000, master_seed=seed)
             s = chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
             assert s <= 2.0 + 1e-12
 
     def test_expected_chsh_is_two_at_standard_angles(self):
         a, a_p, b, b_p = (Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
-        _, corr = run_shared_lambda_model(a, a_p, b, b_p, 1_000_000, master_seed=77)
+        corr = shared_lambda_correlators(a, a_p, b, b_p, 1_000_000, master_seed=77)
         s = chsh(corr["AB"], corr["AB'"], corr["A'B"], corr["A'B'"])
         assert abs(s - 2.0) < 0.01
 
     def test_zero_pairs_rejected(self):
         a, a_p, b, b_p = (Direction.from_plane_angle(d) for d in STANDARD_ANGLES)
         with pytest.raises(DomainError, match="pair count must be >= 1, got 0"):
-            run_shared_lambda_model(a, a_p, b, b_p, 0, master_seed=0)
+            shared_lambda_correlators(a, a_p, b, b_p, 0, master_seed=0)
 
-    def test_run_carries_count_and_settings(self):
-        run, _ = run_shared_lambda_model(Z, Z, Z, Z, 100, master_seed=0)
-        assert len(run) == 100
-        assert set(run.settings) == {"A", "A'", "B", "B'"}
+    def test_correlators_are_keyed_by_the_setting_pairs(self):
+        assert tuple(shared_lambda_correlators(Z, Z, Z, Z, 100, master_seed=0)) == spce.SETTING_PAIRS
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_blocks_match_materialized_run(self, n):
@@ -339,7 +350,7 @@ class TestSharedLambdaModel:
                    Direction.normalized(0.2, -1.0, 0.4), Z)
         for k, settings in enumerate((plane, spatial)):
             for seed in (2**64 - 1 - k, 11 + k):
-                _, corr = run_shared_lambda_model(*settings, n, master_seed=seed, stream_id=k)
+                corr = shared_lambda_correlators(*settings, n, master_seed=seed, stream_id=k)
                 assert corr == oracles.materialized_shared_lambda(*settings, n, substream(seed, k))
 
     def test_degenerate_pairs_consume_the_stream_as_one_draw(self, monkeypatch):
@@ -353,7 +364,7 @@ class TestSharedLambdaModel:
         blocked = oracles.ScriptedStream(values)
         monkeypatch.setattr(randkit, "BLOCK_ROWS", 5)
         monkeypatch.setattr(spce, "substream", lambda seed, stream_id: blocked)
-        _, corr = run_shared_lambda_model(*settings, n, master_seed=0)
+        corr = shared_lambda_correlators(*settings, n, master_seed=0)
         one_draw = oracles.ScriptedStream(values)
         assert corr == oracles.materialized_shared_lambda(*settings, n, one_draw)
         assert blocked.position == one_draw.position > 2 * n + 2 * 5
@@ -361,8 +372,7 @@ class TestSharedLambdaModel:
 
 class TestRunSerialization:
     def test_jsonl_lines(self):
-        run = run_experiment(pol(0.0, 0.1), pol(45.0), 7, master_seed=4, stream_id=1)
-        lines = list(run_to_jsonl_lines(run))
+        lines = list(run_to_jsonl_lines(pol(0.0, 0.1), pol(45.0), 7, master_seed=4, stream_id=1))
         assert len(lines) == 8
         header = json.loads(lines[0])
         assert header["N"] == 7
