@@ -53,7 +53,8 @@ LOW_N = 100
 
 FORMATS = ("csv", "json")
 
-_REQUIRED = object()
+_REQUIRED = object()  # a field the config must give
+_ABSENT = object()  # a field the config may leave out; it is then absent from the values
 
 
 # ---------------------------------------------------------------------------
@@ -97,62 +98,60 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def _check_fields(obj, where, *allowed):
-    """Reject every key of the config object ``obj`` that is not in ``allowed``, naming it."""
-    unknown = ", ".join(shorten(repr(k)) for k in sorted(set(obj) - set(allowed)))
-    _require(not unknown, f"unknown field(s) {unknown} in {where} (allowed: {', '.join(allowed)})")
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+def _expect(condition, name, what, value):
+    _require(condition, f"'{name}' must {what}, got {shorten(repr(value))}")
 
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-#: Counts and indices are held in int64 arrays, so every integer field but a seed stays below this.
-_INT_BOUND = 2**63
+# Readers: each takes ``(value, name)``, checks the value and returns what the plan uses.
+
+def _int(minimum, bound=2**63):
+    """An integer in ``[minimum, bound)``: counts live in int64 arrays; only a seed reaches 2^64."""
+    def read(value, name):
+        _expect(type(value) is int, name, "be an integer", value)
+        _expect(value >= minimum, name, f"be >= {minimum}", value)
+        _expect(value < bound, name, f"be below 2^{bound.bit_length() - 1}", value)
+        return value
+    return read
 
 
-def _get_int(cfg, key, minimum=None, default=_REQUIRED, bounded=True):
-    """An integer field, below 2^63 unless ``bounded`` is false (a seed).
+def _number(interval=None):
+    """A number; with ``interval``, written as in ``"(0, 1]"``, one that lies in it."""
+    def read(value, name):
+        _expect(_is_number(value), name, "be a number", value)
+        if interval:
+            low, high = map(float, interval[1:-1].split(","))
+            _expect((low < value or interval[0] == "[" and value == low)
+                    and (value < high or interval[-1] == "]" and value == high),
+                    name, f"lie in {interval}", value)
+        return value
+    return read
 
-    With ``default=None`` a missing or null field reads as None.
-    """
-    value = cfg.get(key, default)
-    _require(value is not _REQUIRED, f"config is missing required field '{key}'")
-    if value is None and default is None:
-        return None
-    _require(_is_int(value), f"'{key}' must be an integer")
-    if minimum is not None:
-        _require(value >= minimum, f"'{key}' must be >= {minimum}, got {shorten(repr(value))}")
-    _require(not bounded or value < _INT_BOUND,
-             f"'{key}' must be below 2^63, got {shorten(repr(value))}")
+
+def _bool(value, name):
+    _expect(isinstance(value, bool), name, "be true or false", value)
     return value
 
 
-def _get_number(cfg, key, default=None):
-    value = cfg.get(key, default)
-    _require(_is_number(value), f"'{key}' must be a number")
-    return float(value)
+def _one_of(*choices):
+    def read(value, name):
+        _expect(isinstance(value, str) and value in choices, name,
+                f"be one of {', '.join(choices)}", value)
+        return value
+    return read
 
 
-def _get_bool(cfg, key, default):
-    value = cfg.get(key, default)
-    _require(isinstance(value, bool), f"'{key}' must be true or false, got {shorten(repr(value))}")
-    return value
-
-
-def _parse_urn(value) -> coin_lab.UrnState:
-    _require(isinstance(value, list) and len(value) == 2
-             and all(_is_int(v) and 0 <= v < _INT_BOUND for v in value),
-             "'urn' must be a [n_blue, n_red] pair of integers in [0, 2^63),"
-             f" got {shorten(repr(value))}")
+def _urn(value, name):
+    _expect(isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and 0 <= v < 2**63 for v in value),
+            name, "be a [n_blue, n_red] pair of integers in [0, 2^63)", value)
     return coin_lab.UrnState(*value)
 
 
-def _parse_axis(value, name) -> Direction:
+def _axis(value, name) -> Direction:
     """An axis is either a plane angle in degrees or an explicit 3-vector."""
     if _is_number(value):
         return Direction.from_plane_angle(float(value))
@@ -165,17 +164,38 @@ def _parse_axis(value, name) -> Direction:
                       f" got {shorten(repr(value))}")
 
 
-def _parse_epsilon(value, name):
-    _require(_is_number(value), f"'{name}' must be a number")
-    _require(0.0 <= value <= 2.0, f"'{name}' must lie in [0, 2], got {shorten(repr(value))}")
-    return float(value)
+def _list(entry, nonempty=False):
+    def read(value, name):
+        _expect(isinstance(value, list) and (value or not nonempty), name,
+                "be a non-empty list" if nonempty else "be a list", value)
+        return [entry(v, name) for v in value]
+    return read
 
 
-def _resolve_seed(cfg, override):
-    seed = _get_int(cfg, "seed", default=0, bounded=False) if override is None else override
-    _require(0 <= seed < 2**64,
-             f"the master seed must be an unsigned 64-bit integer, got {shorten(repr(seed))}")
-    return seed
+def _object(where, table):
+    return lambda value, name: _fields(value, where, table)
+
+
+def _fields(obj, where, table):
+    """Check the config object ``obj`` against ``table`` and return its values.
+
+    ``table`` maps each field ``obj`` may hold to ``(reader, default)``; any
+    other name is rejected.  A missing field takes its default: ``_REQUIRED``
+    rejects it, ``_ABSENT`` leaves it out of the values.  A value goes through
+    its reader, a default too, except a null where the default is None, and
+    a reader of None takes the value as given.
+    """
+    _require(isinstance(obj, dict), f"{where} must be an object")
+    unknown = ", ".join(shorten(repr(k)) for k in sorted(set(obj) - set(table)))
+    _require(not unknown, f"unknown field(s) {unknown} in {where} (allowed: {', '.join(table)})")
+    values = {}
+    for name, (reader, default) in table.items():
+        value = obj.get(name, default)
+        _require(value is not _REQUIRED, f"{where} is missing required field '{name}'")
+        if value is not _ABSENT:
+            as_given = reader is None or value is None and default is None
+            values[name] = value if as_given else reader(value, name)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -212,35 +232,35 @@ def _config_hash(cfg) -> str:
 
 _AXIS_LABELS = {"A": "A", "A_prime": "A'", "B": "B", "B_prime": "B'"}
 
+# Config tables: every field a config object may hold -> (reader, default).  A field
+# read without a reader is checked where the plan uses it.
+_SEED = _int(0, bound=2**64)
+_EPSILON = _number("[0, 2]")
+_AXES = {"A": (_axis, _REQUIRED), "A_prime": (_axis, _ABSENT),
+         "B": (_axis, _REQUIRED), "B_prime": (_axis, _ABSENT)}
+#: An object ``epsilon`` holds one smear per axis of ``axes`` (and no other).
+_EPSILONS = dict.fromkeys(_AXES, (lambda v, k: _EPSILON(v, f"epsilon.{k}"), _ABSENT))
+_SPCE = {"seed": (_SEED, 0), "axes": (_object("'axes'", _AXES), _REQUIRED),
+         "epsilon": (None, 0.0), "n": (_int(1), _REQUIRED), "record_limit": (_int(0), None)}
+
 
 def cmd_spce(cfg, seed, stage: Path, fmt):
-    _check_fields(cfg, "config", "seed", "axes", "epsilon", "n", "record_limit")
-    axes_cfg = cfg.get("axes")
-    _require(isinstance(axes_cfg, dict), "spce config needs an 'axes' object")
-    _require("A" in axes_cfg and "B" in axes_cfg, "'axes' must define at least 'A' and 'B'")
-    axes = {}
-    for key, value in axes_cfg.items():
-        _require(key in _AXIS_LABELS, f"unknown axis '{key}' (expected A, A_prime, B, B_prime)")
-        axes[_AXIS_LABELS[key]] = _parse_axis(value, key)
-    eps_cfg = cfg.get("epsilon", 0.0)
-    if isinstance(eps_cfg, dict):
-        _check_fields(eps_cfg, "'epsilon'", *axes_cfg)
-        epsilons = {_AXIS_LABELS[k]: _parse_epsilon(v, f"epsilon.{k}") for k, v in eps_cfg.items()}
-        for label in axes:
-            _require(label in epsilons, f"epsilon missing for axis '{label}'")
+    v = _fields(cfg, "config", _SPCE)
+    axes, eps, n = v["axes"], v["epsilon"], v["n"]
+    if isinstance(eps, dict):
+        eps = _fields(eps, "'epsilon'", {key: _EPSILONS[key] for key in axes})
+        for key in axes:
+            _require(key in eps, f"epsilon missing for axis '{key}'")
     else:
-        eps = _parse_epsilon(eps_cfg, "epsilon")
-        epsilons = {label: eps for label in axes}
-    n = _get_int(cfg, "n", minimum=1)
-    record_limit = _get_int(cfg, "record_limit", minimum=0, default=None)
+        eps = dict.fromkeys(axes, _EPSILON(eps, "epsilon"))
+    caps = {_AXIS_LABELS[key]: CapSpec(axis, eps[key]) for key, axis in axes.items()}
     pairs = [(x, y) for x, y in [("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'")]
-             if x in axes and y in axes]
+             if x in caps and y in caps]
 
-    runs = [(CapSpec(axes[x], epsilons[x]), CapSpec(axes[y], epsilons[y]), n, seed, stream_id)
-            for stream_id, (x, y) in enumerate(pairs)]
+    runs = [(caps[x], caps[y], n, seed, stream_id) for stream_id, (x, y) in enumerate(pairs)]
     correlators = {x + y: spce.correlator(*run) for (x, y), run in zip(pairs, runs)}
     rows = [[key, r, spce.correlator_stderr(r, n), n] for key, r in correlators.items()]
-    spce.write_run_jsonl(runs, stage / "runs.jsonl", record_limit=record_limit)
+    spce.write_run_jsonl(runs, stage / "runs.jsonl", record_limit=v["record_limit"])
     table = _table_file(stage, "correlators", ["setting_pair", "r", "stderr", "n"], rows, fmt)
 
     if len(pairs) == 4:
@@ -270,44 +290,44 @@ def _summarize(experiment, counts, runs, n):
             float(counts.mean() / n), None, None]
 
 
-_COIN_FIELDS = ("seed", "experiment", "runs", "n", "series_limit")
-#: The fields each experiment uses besides ``_COIN_FIELDS``; any other field is rejected.
-_EXPERIMENT_FIELDS = {**dict.fromkeys(("E1", "E2", "E3"), ("initial_face",)),
-                      "E4": ("urn", "remove", "with_replacement"),
-                      **dict.fromkeys(("E5", "E6", "E5E6"), ("urn", "remove"))}
+def _stream_ids(first, count):
+    """Stream ids ``first`` to ``first + count - 1``, as uint64: numpy raises ValueError, not
+    MemoryError, for an array of 2^63 bytes or more, so 2^60 ids or more run out of memory here."""
+    if count >= 2**60:
+        raise MemoryError(f"cannot allocate {count} stream ids")
+    return np.arange(first, first + count, dtype=np.uint64)
+
+
+_URN_FIELDS = {"urn": (_urn, _REQUIRED), "remove": (_int(0), 0)}
+#: The fields of a coins config, and those each experiment adds; any other field is rejected.
+_COINS = {"seed": (_SEED, 0), "experiment": (None, _REQUIRED), "runs": (_int(1), 1),
+          "n": (_int(1), _REQUIRED), "series_limit": (_int(0), 10)}
+_COIN_EXPERIMENTS = {**dict.fromkeys(("E1", "E2", "E3"), {"initial_face": (None, "B")}),
+                     "E4": {**_URN_FIELDS, "with_replacement": (_bool, False)},
+                     **dict.fromkeys(("E5", "E6", "E5E6"), _URN_FIELDS)}
 
 
 def cmd_coins(cfg, seed, stage: Path, fmt):
-    experiment = cfg.get("experiment")
-    _require(isinstance(experiment, str) and experiment in _EXPERIMENT_FIELDS,
-             f"'experiment' must be one of E1..E6 or E5E6, got {shorten(repr(experiment))}")
-    _check_fields(cfg, f"a coins config for experiment {experiment}",
-                  *_COIN_FIELDS, *_EXPERIMENT_FIELDS[experiment])
-    runs = _get_int(cfg, "runs", minimum=1, default=1)
-    n = _get_int(cfg, "n", minimum=1)
-    series_limit = _get_int(cfg, "series_limit", minimum=0, default=10)
-    params = {"initial_face": cfg.get("initial_face", "B"), "n": n}
-    with_replacement = _get_bool(cfg, "with_replacement", False)
-    if "urn" in _EXPERIMENT_FIELDS[experiment]:
-        _require(cfg.get("urn") is not None, f"experiment {experiment} requires an 'urn'")
-        urn = _parse_urn(cfg["urn"])
-        remove = _get_int(cfg, "remove", minimum=0, default=0)
-        if remove:
-            urn = coin_lab.remove_coins(urn, remove, substream(seed, 0))
+    experiment = _one_of(*_COIN_EXPERIMENTS)(cfg.get("experiment"), "experiment")
+    v = _fields(cfg, f"a coins config for experiment {experiment}",
+                {**_COINS, **_COIN_EXPERIMENTS[experiment]})
+    runs, n = v["runs"], v["n"]
+    # the law keeps the params its generator reads: initial_face or the urn, and n
+    params = {"initial_face": v.get("initial_face"), "n": n}
+    if "urn" in v:
+        urn = v["urn"]
+        if v["remove"]:
+            urn = coin_lab.remove_coins(urn, v["remove"], substream(seed, 0))
         params.update(n_blue=urn.n_blue, n_red=urn.n_red)
 
     experiments = ["E5", "E6"] if experiment == "E5E6" else [experiment]
-    # with_replacement is a field of E4 only
-    laws = [coin_lab.OutcomeLaw("urn:replace" if with_replacement else coin_lab.EXPERIMENTS[exp],
-                                params) for exp in experiments]
-    outputs = []
-    rows = []
-    pooled = {}
+    laws = [coin_lab.OutcomeLaw("urn:replace" if v.get("with_replacement")
+                                else coin_lab.EXPERIMENTS[exp], params) for exp in experiments]
+    outputs, rows, pooled = [], [], {}
     for exp_index, (exp, law) in enumerate(zip(experiments, laws)):
         # stream 0 is reserved for the removal perturbation
-        first = 1 + exp_index * runs
-        counts, serialized = coin_lab.sample_runs(
-            law, seed, np.arange(first, first + runs, dtype=np.uint64), keep=series_limit)
+        ids = _stream_ids(1 + exp_index * runs, runs)
+        counts, serialized = coin_lab.sample_runs(law, seed, ids, keep=v["series_limit"])
         name = "series.jsonl" if len(experiments) == 1 else f"series_{exp.lower()}.jsonl"
         coin_lab.write_timeseries_jsonl(serialized, stage / name)
         outputs.append(name)
@@ -327,96 +347,74 @@ def cmd_coins(cfg, seed, stage: Path, fmt):
     return outputs, EXIT_OK, f"{experiment}, {runs} run(s) of n={n}"
 
 
-def _purity_samples(cfg, seed):
-    if ("inputs" in cfg) == ("generate" in cfg):
-        raise ConfigError("purity config needs exactly one of 'inputs' or 'generate'")
+def _paths(value, name):
+    _expect(isinstance(value, list) and value and all(isinstance(p, str) for p in value),
+            name, "be a non-empty list of paths", value)
+    return value
+
+
+_GENERATE_ENTRY = {"box": (_one_of("E5", "E6"), _REQUIRED), "urn": (_urn, _REQUIRED),
+                   "n": (_int(1), _REQUIRED), "count": (_int(1), 1)}
+_GENERATE = {"experiments": (_list(_object("a generate entry", _GENERATE_ENTRY)), _REQUIRED)}
+_PROCEDURE = {"kind": (None, _REQUIRED), "param": (_number(), 1.0)}
+_PURITY = {"seed": (_SEED, 0), "alpha": (_number("(0, 1)"), 0.05), "inputs": (_paths, _ABSENT),
+           "generate": (_object("'generate'", _GENERATE), _ABSENT),
+           "procedures": (_list(_object("a procedure", _PROCEDURE)), []),
+           "subensemble_count": (_int(0), 0), "subensemble_fraction": (_number("(0, 1]"), 0.5),
+           "power_floor": (_int(0), purity.DEFAULT_POWER_FLOOR)}
+
+
+def _purity_samples(v, seed):
     samples = []
-    if "inputs" in cfg:
-        paths = cfg["inputs"]
-        _require(isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths),
-                 "'inputs' must be a non-empty list of paths")
-        for path in paths:
-            try:
-                series_list = coin_lab.read_timeseries_jsonl(path)
-            except FormatError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            for i, series in enumerate(series_list):
-                if not len(series):
-                    raise FormatError(f"{path}: series {i} is empty")
-                samples.append(purity.Sample(series, f"{Path(path).stem}[{i}]"))
-    else:
-        gen = cfg["generate"]
-        _require(isinstance(gen, dict) and isinstance(gen.get("experiments"), list),
-                 "'generate' must hold an 'experiments' list")
-        _check_fields(gen, "'generate'", "experiments")
-        entries = []
-        for entry in gen["experiments"]:
-            _require(isinstance(entry, dict), "each generate entry must be an object")
-            _check_fields(entry, "a generate entry", "box", "urn", "n", "count")
-            box_name = entry.get("box")
-            _require(box_name in ("E5", "E6"),
-                     f"generate 'box' must be 'E5' or 'E6', got {shorten(repr(box_name))}")
-            urn = _parse_urn(entry.get("urn"))
-            law = coin_lab.OutcomeLaw(coin_lab.EXPERIMENTS[box_name], {
-                "n_blue": urn.n_blue, "n_red": urn.n_red, "n": _get_int(entry, "n", minimum=1)})
-            entries.append((law, _get_int(entry, "count", minimum=1, default=1)))
+    for path in v.get("inputs", []):
+        try:
+            series_list = coin_lab.read_timeseries_jsonl(path)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        for i, series in enumerate(series_list):
+            if not len(series):
+                raise FormatError(f"{path}: series {i} is empty")
+            samples.append(purity.Sample(series, f"{Path(path).stem}[{i}]"))
+    if "generate" in v:
+        entries = [(coin_lab.OutcomeLaw(coin_lab.EXPERIMENTS[e["box"]], {
+            "n_blue": e["urn"].n_blue, "n_red": e["urn"].n_red, "n": e["n"]}), e["count"])
+            for e in v["generate"]["experiments"]]
         stream_id = 1
         for law, count in entries:
-            ids = np.arange(stream_id, stream_id + count, dtype=np.uint64)
-            _, series = coin_lab.sample_runs(law, seed, ids, keep=count)
+            _, series = coin_lab.sample_runs(law, seed, _stream_ids(stream_id, count), keep=count)
             samples.extend(purity.Sample(s, f"S{s.meta['stream_id'] - 1}") for s in series)
             stream_id += count
     _require(len(samples) >= 2, f"purity needs at least 2 samples, found {len(samples)}")
     return samples
 
 
-def _purity_procedures(cfg):
-    entries = cfg.get("procedures", [])
-    _require(isinstance(entries, list), "'procedures' must be a list")
-    procedures = []
-    for entry in entries:
-        _require(isinstance(entry, dict) and "kind" in entry, "each procedure needs a 'kind'")
-        _check_fields(entry, "a procedure", "kind", "param")
-        param = entry.get("param", 1.0)
-        _require(_is_number(param),
-                 f"procedure 'param' must be a number, got {shorten(repr(param))}")
-        try:
-            procedures.append(purity.Reduction(entry["kind"], param))
-        except DomainError as exc:
-            raise ConfigError(f"bad procedure: {exc}") from exc
-    return procedures
-
-
 _VERDICT_EXIT = {"pure": EXIT_OK, "mixed": EXIT_MIXED, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def cmd_purity(cfg, seed, stage: Path, fmt):
-    _check_fields(cfg, "config", "seed", "alpha", "inputs", "generate", "procedures",
-                  "subensemble_count", "subensemble_fraction", "power_floor")
-    cfg.setdefault("alpha", 0.05)  # the manifest records the alpha in effect
-    alpha = _get_number(cfg, "alpha")
-    _require(0.0 < alpha < 1.0, f"'alpha' must lie in (0, 1), got {alpha}")
-    procedures = _purity_procedures(cfg)
-    subensemble_count = _get_int(cfg, "subensemble_count", minimum=0, default=0)
-    fraction = _get_number(cfg, "subensemble_fraction", default=0.5)
-    _require(0.0 < fraction <= 1.0, f"'subensemble_fraction' must lie in (0, 1], got {fraction}")
-    power_floor = _get_int(cfg, "power_floor", minimum=0, default=purity.DEFAULT_POWER_FLOOR)
-    samples = _purity_samples(cfg, seed)
-    verdict = purity.purity_verdict(samples, procedures, subensemble_count, alpha, master_seed=seed,
-                                    subensemble_fraction=fraction, power_floor=power_floor)
+    cfg.setdefault("alpha", _PURITY["alpha"][1])  # the manifest records the alpha in effect
+    v = _fields(cfg, "config", _PURITY)
+    _require(("inputs" in v) != ("generate" in v),
+             "purity config needs exactly one of 'inputs' or 'generate'")
+    procedures = [purity.Reduction(p["kind"], p["param"]) for p in v["procedures"]]
+    verdict = purity.purity_verdict(_purity_samples(v, seed), procedures, v["subensemble_count"],
+                                    v["alpha"], master_seed=seed,
+                                    subensemble_fraction=v["subensemble_fraction"],
+                                    power_floor=v["power_floor"])
     _write_json(stage / "verdict.json", verdict.to_dict())
     value = verdict.verdict.value
     return ["verdict.json"], _VERDICT_EXIT[value], f"verdict {value}"
 
 
-def cmd_bertrand(cfg, seed, stage: Path, fmt):
-    _check_fields(cfg, "config", "seed", "machines", "n")
-    machines = cfg.get("machines", ["M1", "M2", "M3"])
-    _require(isinstance(machines, list) and machines, "'machines' must be a non-empty list")
-    for name in machines:
-        _require(name in ("M1", "M2", "M3"), f"unknown machine {shorten(repr(name))} in 'machines'")
-    n = _get_int(cfg, "n", minimum=1)
+_MACHINES = ("M1", "M2", "M3")
+_BERTRAND = {"seed": (_SEED, 0),
+             "machines": (_list(_one_of(*_MACHINES), nonempty=True), list(_MACHINES)),
+             "n": (_int(1), _REQUIRED)}
 
+
+def cmd_bertrand(cfg, seed, stage: Path, fmt):
+    v = _fields(cfg, "config", _BERTRAND)
+    machines, n = v["machines"], v["n"]
     rows = []
     for name in machines:
         est = bertrand_mod.estimate_probability(bertrand_mod.Machine(name), n, seed)
@@ -426,30 +424,21 @@ def cmd_bertrand(cfg, seed, stage: Path, fmt):
     return [table], EXIT_OK, f"{len(machines)} machine(s), n={n}"
 
 
-def cmd_qkd(cfg, seed, stage: Path, fmt):
-    _check_fields(cfg, "config", "seed", "axis", "epsilon", "n", "test")
-    axis = _parse_axis(cfg.get("axis", 0.0), "axis")
-    eps_cfg = cfg.get("epsilon", 0.0)
-    if isinstance(eps_cfg, list):
-        _require(len(eps_cfg) == 2, "'epsilon' list must be [eps_alice, eps_bob]")
-        eps_a, eps_b = (_parse_epsilon(v, "epsilon") for v in eps_cfg)
-    else:
-        eps_a = eps_b = _parse_epsilon(eps_cfg, "epsilon")
-    n = _get_int(cfg, "n", minimum=1)
-    test_cfg = cfg.get("test")
-    if test_cfg is not None:
-        _require(isinstance(test_cfg, dict), "'test' must be an object")
-        _check_fields(test_cfg, "'test'", "axes", "n", "adversary")
-        axes_cfg = test_cfg.get("axes", {})
-        required = ("A", "A_prime", "B", "B_prime")
-        _require(isinstance(axes_cfg, dict) and all(k in axes_cfg for k in required),
-                 "'test.axes' must define A, A_prime, B, B_prime")
-        _check_fields(axes_cfg, "'test.axes'", *required)
-        test_axes = [_parse_axis(axes_cfg[k], f"test.axes.{k}") for k in required]
-        n_test = _get_int(test_cfg, "n", minimum=1)
-        adversary = _get_bool(test_cfg, "adversary", False)
+_TEST_AXES = dict.fromkeys(_AXES, (lambda v, k: _axis(v, f"test.axes.{k}"), _REQUIRED))
+_TEST = {"axes": (_object("'test.axes'", _TEST_AXES), _REQUIRED), "n": (_int(1), _REQUIRED),
+         "adversary": (_bool, False)}
+_QKD = {"seed": (_SEED, 0), "axis": (_axis, 0.0), "epsilon": (None, 0.0), "n": (_int(1), _REQUIRED),
+        "test": (_object("'test'", _TEST), None)}
 
-    keys = qkd.generate_keys(axis, n, eps_a, eps_b, seed, stream_id=0)
+
+def cmd_qkd(cfg, seed, stage: Path, fmt):
+    v = _fields(cfg, "config", _QKD)
+    n, test = v["n"], v["test"]
+    eps = v["epsilon"] if isinstance(v["epsilon"], list) else [v["epsilon"]] * 2
+    _require(len(eps) == 2, "'epsilon' list must be [eps_alice, eps_bob]")
+    eps_a, eps_b = (float(_EPSILON(e, "epsilon")) for e in eps)
+
+    keys = qkd.generate_keys(v["axis"], n, eps_a, eps_b, seed, stream_id=0)
     report = {
         "n": n,
         "eps_a": eps_a,
@@ -458,11 +447,11 @@ def cmd_qkd(cfg, seed, stage: Path, fmt):
         "low_n": n < LOW_N,
         "chsh": None,
     }
-    if test_cfg is not None:
-        s_value = qkd.ekert_test_statistic(*test_axes, n_test, eps_a, eps_b, seed,
-                                           adversary=adversary, stream_base=1)
-        report["chsh"] = {"S": s_value, "n_test": n_test, "adversary": adversary,
-                          "low_n": n_test < LOW_N}
+    if test is not None:
+        s_value = qkd.ekert_test_statistic(*test["axes"].values(), test["n"], eps_a, eps_b, seed,
+                                           adversary=test["adversary"], stream_base=1)
+        report["chsh"] = {"S": s_value, "n_test": test["n"], "adversary": test["adversary"],
+                          "low_n": test["n"] < LOW_N}
 
     # each key's bits packed into bytes, zero-padded at the end, as hex
     _write_json(stage / "keys.json", {"header": keys.meta,
@@ -535,12 +524,13 @@ def _drive(command, cfg, base_dir: Path, seed, out: Path, fmt, alpha=None) -> in
     folded into ``alpha``, and relative purity ``inputs`` paths are made
     absolute against ``base_dir`` (the config file's directory).
     """
-    _require(fmt in FORMATS, f"format must be one of {FORMATS}, got {shorten(repr(fmt))}")
+    _one_of(*FORMATS)(fmt, "format")
     if alpha is not None:
         cfg["alpha"] = alpha
     if command == "purity" and isinstance(cfg.get("inputs"), list):
         cfg["inputs"] = [str(base_dir / p) if isinstance(p, str) else p for p in cfg["inputs"]]
-    return _commit(command, cfg, _resolve_seed(cfg, seed), out, fmt)
+    seed = _SEED(cfg.get("seed", 0), "seed") if seed is None else _SEED(seed, "--seed")
+    return _commit(command, cfg, seed, out, fmt)
 
 
 def cmd_replay(args) -> int:
@@ -551,8 +541,9 @@ def cmd_replay(args) -> int:
              f"manifest names unknown command {shorten(repr(command))}")
     _require(isinstance(manifest.get("config"), dict), "manifest 'config' must be an object")
     out = Path(args.out) if args.out is not None else manifest_path.parent
-    return _drive(command, manifest["config"], manifest_path.resolve().parent,
-                  _get_int(manifest, "master_seed", bounded=False), out, manifest.get("format", "csv"))
+    seed = _SEED(manifest.get("master_seed"), "master_seed")
+    return _drive(command, manifest["config"], manifest_path.resolve().parent, seed, out,
+                  manifest.get("format", "csv"))
 
 
 def cmd_run(args) -> int:

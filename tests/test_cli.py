@@ -461,6 +461,21 @@ class TestQkdCommand:
     ("coins", {"experiment": {}, "n": 5}, "'experiment' must be one of"),
     ("purity", {**PURITY_GENERATE, "alpha": None}, "'alpha' must be a number"),
     ("purity", {**PURITY_GENERATE, "subensemble_fraction": None}, "'subensemble_fraction' must be a number"),
+    ("spce", {"axes": {"A": 0, "A_prime": None, "B": 45}, "n": 10}, "axis 'A_prime'"),
+    ("spce", {"axes": {"A": 0, "B": 45}, "epsilon": {"A": 0.1, "B": None}, "n": 10}, "'epsilon.B'"),
+    ("purity", {**PURITY_GENERATE, "inputs": None}, "'inputs'"),
+    ("purity", {"generate": None}, "'generate'"),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": None}]}},
+     "'count'"),
+    ("purity", {**PURITY_GENERATE, "procedures": None}, "'procedures'"),
+    ("coins", {"experiment": "E1", "n": 5, "initial_face": None}, "'initial_face'"),
+    ("coins", {"experiment": "E5", "n": 5, "urn": None}, "'urn'"),
+    ("bertrand", {"machines": None, "n": 10}, "'machines'"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "seed": None}, "seed"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "seed": -1}, "seed"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "seed": 2**64}, "seed"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "seed": True}, "seed"),
+    ("bertrand", {"machines": ["M1"], "n": 10, "seed": 1.0}, "seed"),
 ])
 def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field):
     cfg_path = write_config(tmp_path, cfg)
@@ -468,6 +483,31 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, cfg, field)
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_seed,option,field", [
+    (1, "-1", "'--seed'"),
+    (1, str(2**64), "'--seed'"),
+    ("abc", "5", "'seed'"),
+], ids=["option-negative", "option-2^64", "config-seed-under-option"])
+def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, cfg_seed, option, field):
+    # a --seed replaces the config's seed, which must still be a valid one
+    cfg_path = write_config(tmp_path, {"machines": ["M1"], "n": 10, "seed": cfg_seed})
+    out = tmp_path / "out"
+    assert main(["bertrand", "--config", str(cfg_path), "--seed", option, "--out", str(out)]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("spce", {"axes": {"A": 0, "B": 45}, "n": 10, "record_limit": None}),
+    ("qkd", {"n": 10, "test": None}),
+], ids=["record_limit", "test"])
+def test_null_is_accepted_where_it_means_none(tmp_path, command, cfg):
+    # only these two fields take null: no record limit, no test block
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert (out / "manifest.json").is_file()
 
 
 @pytest.mark.parametrize("command,text", [
@@ -650,6 +690,59 @@ def test_integer_beyond_int64_is_a_config_error(tmp_path, capsys, command, cfg, 
     assert not out.exists()
 
 
+#: One valid config per config table (``coins`` once per table its experiments add), each
+#: small enough to run in milliseconds.
+WALK_CONFIGS = [
+    ("spce", {"axes": {"A": 0, "A_prime": [1, 0, 0], "B": 45, "B_prime": 135},
+              "epsilon": {"A": 0.1, "A_prime": 0, "B": 0.2, "B_prime": 2}, "n": 10, "record_limit": 2,
+              "seed": 1}),
+    ("coins", {"experiment": "E1", "initial_face": "R", "n": 10, "runs": 2, "series_limit": 1,
+               "seed": 1}),
+    ("coins", {"experiment": "E4", "urn": [5, 5], "remove": 1, "with_replacement": True, "n": 10,
+               "runs": 2, "series_limit": 1, "seed": 1}),
+    ("coins", {"experiment": "E5E6", "urn": [5, 5], "remove": 1, "n": 10, "runs": 2,
+               "series_limit": 1, "seed": 1}),
+    ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2}]},
+                "procedures": [{"kind": "thin", "param": 0.5}], "subensemble_count": 1,
+                "subensemble_fraction": 0.5, "alpha": 0.05, "power_floor": 0, "seed": 1}),
+    ("bertrand", {"machines": ["M1", "M3"], "n": 10, "seed": 1}),
+    ("qkd", {"axis": [0, 0, 1], "epsilon": [0.1, 0.2], "n": 10, "seed": 1,
+             "test": {"axes": STANDARD_AXES, "n": 10, "adversary": False}}),
+]
+
+#: What the walk puts in place of each field: one value of every JSON kind.
+WALK_VALUES = [None, True, 1.5, -1, "x", [], {}]
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every object field and list entry in ``doc``, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def schema_walk():
+    """``(command, config)`` for each walk config with one field replaced by each walk value."""
+    for command, cfg in WALK_CONFIGS:
+        for path in _field_paths(cfg):
+            for value in WALK_VALUES:
+                doc = copy.deepcopy(cfg)
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                yield command, doc
+
+
+def test_schema_walk_runs_or_exits_three(tmp_path, capsys):
+    # a wrong value anywhere is a short config error, never a traceback
+    for k, (command, doc) in enumerate(schema_walk()):
+        code = main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / str(k))])
+        err = capsys.readouterr().err
+        assert code in (0, 3) and len(err.encode()) < 300, (command, doc, code, err)
+
+
 class TestExitCodes:
     def test_usage_error_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, {"generate": {"experiments": []}})
@@ -685,6 +778,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,cfg", [
         ("coins", {"experiment": "E1", "n": 10, "runs": 2**58, "seed": 1}),
         ("qkd", {"axis": 0, "n": 2**62, "seed": 1}),
+        ("coins", {"experiment": "E1", "n": 10, "runs": 2**60, "seed": 1}),
+        ("coins", {"experiment": "E5E6", "n": 10, "urn": [5, 5], "runs": 2**63 - 1, "seed": 1}),
+        ("purity", {"generate": {"experiments": [{"box": "E6", "urn": [5, 5], "n": 100, "count": 2**60}]},
+                    "seed": 1}),
     ])
     def test_allocation_failure_exits_five(self, tmp_path, capsys, command, cfg):
         # 2^58 stream ids and 2^62 key bits each ask for EiBs at the first allocation

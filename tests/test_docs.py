@@ -1,5 +1,5 @@
 """The README's module table names only API that exists, its examples run as documented,
-and the package has one version."""
+its config field table matches the cli's, and the package has one version."""
 
 import importlib
 import json
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import spcelab
+from spcelab import cli
 from spcelab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +96,48 @@ def test_readme_example_runs_as_documented(tmp_path, capsys, command, cfg, text)
     if command == "purity":
         verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]
         assert code == {"pure": 0, "mixed": 1, "inconclusive": 2}[verdict]
+
+
+def _default_text(default):
+    if default is cli._REQUIRED:
+        return "required"
+    if default is cli._ABSENT:
+        return "optional"
+    return f"`{json.dumps(default)}`"
+
+
+#: Each config table of the cli and the dotted path of the object it checks.
+CONFIG_TABLES = [
+    ("spce", "", cli._SPCE), ("spce", "axes.", cli._AXES), ("spce", "epsilon.", cli._EPSILONS),
+    ("coins", "", cli._COINS),
+    ("purity", "", cli._PURITY), ("purity", "generate.", cli._GENERATE),
+    ("purity", "generate.experiments[].", cli._GENERATE_ENTRY), ("purity", "procedures[].", cli._PROCEDURE),
+    ("bertrand", "", cli._BERTRAND),
+    ("qkd", "", cli._QKD), ("qkd", "test.", cli._TEST), ("qkd", "test.axes.", cli._TEST_AXES),
+]
+
+
+def _table_fields():
+    """``{(command, path): (default text, coins experiments that take it or None)}`` from the cli."""
+    fields = {(command, prefix + name): (_default_text(default), None)
+              for command, prefix, table in CONFIG_TABLES for name, (_, default) in table.items()}
+    for experiment, table in cli._COIN_EXPERIMENTS.items():
+        for name, (_, default) in table.items():
+            _, users = fields.setdefault(("coins", name), (_default_text(default), []))
+            users.append(experiment)
+    return fields
+
+
+def _readme_fields():
+    section = README.read_text(encoding="utf-8").split("### Config fields", 1)[1].split("\n### ", 1)[0]
+    fields = {}
+    for commands, path, default in re.findall(r"^\| (.+?) \| `([\w.\[\]]+)` \| (.+?) \|", section, re.M):
+        experiments = re.findall(r"\bE\w+", commands) or None
+        for command in re.findall(r"`(\w+)`", commands) if commands != "all" else COMMAND_OUTPUTS:
+            assert (command, path) not in fields, f"{command} {path} has two rows"
+            fields[command, path] = (default, experiments)
+    return fields
+
+
+def test_config_field_table_matches_the_cli_tables():
+    assert _readme_fields() == _table_fields()
